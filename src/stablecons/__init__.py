@@ -16,12 +16,10 @@ from .decision import (
     ConsequenceVerdict,
     EStarResult,
     HarnessLimits,
-    HarnessReport,
     StableVerdict,
     check_consequence_rho,
     coefficient_bound,
     denominator_bounded_fractions,
-    equivalence_harness,
     estar,
     find_countermodel,
     harness_trials,
@@ -80,7 +78,6 @@ from .semantics import (
     ONE,
     ZERO,
     UnboundVariableError,
-    check_valuation,
     eval_bool,
     eval_luk,
     eval_luk_lattice,

@@ -3,13 +3,21 @@
 * ``stable_bruteforce`` — exhaustive deletion-and-assignment enumeration for
   the boolean problem; the ground-truth oracle.
 * ``check_consequence_rho`` — complete consequence check for reduced pairs by
-  enumerating the 2^n lifted grid points (exactly the antecedent's models).
+  scanning the 2^n lifted grid points (exactly the antecedent's models).
 * ``find_countermodel`` — bounded-denominator refutation scan for arbitrary
   pairs: sound whenever it answers, inconclusive past its bound.
-* ``equivalence_harness`` — randomized agreement check between the boolean
-  oracle and the reduced-pair check.
+* ``harness_trials`` — randomized agreement check between the boolean oracle
+  and the reduced-pair check.
 * ``estar`` — binary search for the largest deletion allowance that keeps a
   conclusion entailed.
+
+Both consequence checks run on one exact lattice scan, ``_scan``.  Their
+points have coordinates k/L for a fixed L (e+1 on the grid, the lcm of
+1..max_denominator in pair mode), so the scan evaluates the formulas on
+integer numerators with ``eval_luk_lattice``.  It decodes row indices into coordinates chunk by
+chunk; chunks start at 64 rows, so an early hit stays cheap, and grow four-fold
+up to ``_SCAN_CHUNK`` rows.  The first hit is decoded into a ``Fraction``
+witness and re-verified with the scalar ``eval_luk`` before it is reported.
 
 All enumerations honor a hard budget and raise ``BudgetExceededError`` rather
 than truncate, and every emitted witness is deterministic: the first hit in
@@ -21,9 +29,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +54,6 @@ from .reduction import (
     FormulaGroup,
     ReductionOutput,
     StableInstance,
-    grid_values,
     instance_to_json,
     reduce_instance,
 )
@@ -205,19 +212,21 @@ def check_consequence_rho(
     The antecedent's models are exactly the 2^n points with coordinates in
     {1/(e+1), e/(e+1)}, so evaluating the consequent there decides the
     question outright: certified consequence if it is 1 everywhere, otherwise
-    the first grid point (lexicographic, low coordinate first) where it
-    falls short.
+    the first grid point (lexicographic, low coordinate first, the last
+    variable varying fastest) where it falls short.  The grid is scanned on
+    the integer numerators {1, e} over L = e+1, in chunks of 64 rows growing
+    four-fold up to ``_SCAN_CHUNK``; the antecedent is not evaluated there,
+    since grid forcing makes every grid point one of its models, but the
+    witness is re-verified against both formulas with ``eval_luk``.
     """
     n = output.stats.n
     _check_budget(2**n, budget, "grid enumeration")
-    low, high = grid_values(output.e)
-    for bits in itertools.product((0, 1), repeat=n):
-        point = {i: high if bit else low for i, bit in enumerate(bits, start=1)}
-        if eval_luk(output.phi, point) != ONE:
-            if eval_luk(output.theta, point) != ONE:  # grid forcing guarantees this
-                raise RuntimeError("grid point is not a model of the antecedent")
-            return ConsequenceVerdict.countermodel(point)
-    return ConsequenceVerdict.consequence(certified=True)
+    var_order = range(1, n + 1)
+    L = output.e + 1
+    row = _scan(None, output.phi, var_order, (1, output.e), L)
+    if row is None:
+        return ConsequenceVerdict.consequence(certified=True)
+    return _countermodel(output.theta, output.phi, var_order, row, L)
 
 
 def denominator_bounded_fractions(max_denominator: int) -> list[Fraction]:
@@ -233,9 +242,6 @@ def denominator_bounded_fractions(max_denominator: int) -> list[Fraction]:
     )
 
 
-_SCAN_CHUNK = 1 << 16
-
-
 def find_countermodel(
     theta: LukFormula,
     phi: LukFormula,
@@ -247,34 +253,77 @@ def find_countermodel(
     Returns the lexicographically first countermodel (antecedent exactly 1,
     consequent < 1) or ``inconclusive_at_bound``.  Sound as a refuter always;
     complete only when the bound covers the pair's true vertex denominators.
+    The points are scanned on integer numerators over
+    L = lcm(1..max_denominator); the witness is re-verified with ``eval_luk``.
     """
     var_order = sorted(variables(theta) | variables(phi))
     fractions = denominator_bounded_fractions(max_denominator)
-    m = len(var_order)
-    per_axis = len(fractions)
-    total = per_axis**m
-    _check_budget(total, budget, "countermodel scan")
+    _check_budget(len(fractions) ** len(var_order), budget, "countermodel scan")
     L = math.lcm(*range(1, max_denominator + 1))
-    axis_numerators = np.array(
-        [f.numerator * (L // f.denominator) for f in fractions], dtype=np.int64
-    )
-    for start in range(0, total, _SCAN_CHUNK):
-        index = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
-        coords = np.empty((len(index), m), dtype=np.int64)
-        rest = index
-        for column in range(m - 1, -1, -1):  # last variable varies fastest
-            coords[:, column] = axis_numerators[rest % per_axis]
-            rest = rest // per_axis
-        theta_values = eval_luk_lattice(theta, var_order, coords, L)
-        phi_values = eval_luk_lattice(phi, var_order, coords, L)
-        hits = np.nonzero((theta_values == L) & (phi_values < L))[0]
-        if hits.size:
-            row = coords[hits[0]]
-            witness = {
-                index: Fraction(int(row[j]), L) for j, index in enumerate(var_order)
-            }
-            return ConsequenceVerdict.countermodel(witness)
-    return ConsequenceVerdict.inconclusive(max_denominator)
+    axis = [f.numerator * (L // f.denominator) for f in fractions]
+    row = _scan(theta, phi, var_order, axis, L)
+    if row is None:
+        return ConsequenceVerdict.inconclusive(max_denominator)
+    return _countermodel(theta, phi, var_order, row, L)
+
+
+_FIRST_CHUNK = 64
+_SCAN_CHUNK = 1 << 16
+
+
+def _scan(
+    theta: LukFormula | None,
+    phi: LukFormula,
+    var_order: Sequence[int],
+    axis: Sequence[int],
+    L: int,
+) -> tuple[int, ...] | None:
+    """First point of axis^m where phi < L (and theta = L, if theta is given).
+
+    Every coordinate of a point is an entry of ``axis``, a numerator over L,
+    one coordinate per variable of ``var_order``.  Points are scanned in
+    lexicographic order of their axis positions, the last variable varying
+    fastest.  Row indices are decoded by adding the chunk's offsets to the
+    base-len(axis) digits of its Python-int start, so indices past 2**63 stay
+    exact.  Returns the first hit's numerators, or None.
+    """
+    m = len(var_order)
+    base = len(axis)
+    total = base**m
+    numerators = np.asarray(axis, dtype=np.int64)
+    start, size = 0, _FIRST_CHUNK
+    while start < total:
+        rows = min(size, total - start)
+        coords = np.empty((rows, m), dtype=np.int64)
+        carry = np.arange(rows, dtype=np.int64)
+        high = start
+        for column in range(m - 1, -1, -1):
+            high, digit = divmod(high, base)
+            carry, position = np.divmod(carry + digit, base)
+            coords[:, column] = numerators[position]
+        hit = eval_luk_lattice(phi, var_order, coords, L) < L
+        if theta is not None:
+            hit &= eval_luk_lattice(theta, var_order, coords, L) == L
+        first = np.flatnonzero(hit)
+        if first.size:
+            return tuple(int(value) for value in coords[first[0]])
+        start += rows
+        size = min(4 * size, _SCAN_CHUNK)
+    return None
+
+
+def _countermodel(
+    theta: LukFormula,
+    phi: LukFormula,
+    var_order: Sequence[int],
+    row: Sequence[int],
+    L: int,
+) -> ConsequenceVerdict:
+    """Decode a scan hit into a witness and re-verify it with ``eval_luk``."""
+    witness = {index: Fraction(value, L) for index, value in zip(var_order, row)}
+    if eval_luk(theta, witness) != ONE or eval_luk(phi, witness) >= ONE:
+        raise RuntimeError("lattice and scalar evaluators disagree on a countermodel")
+    return ConsequenceVerdict.countermodel(witness)
 
 
 def coefficient_bound(theta: LukFormula, phi: LukFormula) -> int:
@@ -376,34 +425,8 @@ def harness_trials(
         }
 
 
-@dataclass
-class HarnessReport:
-    records: list[dict] = field(default_factory=list)
-
-    @property
-    def disagreements(self) -> list[dict]:
-        return [record for record in self.records if not record["agree"]]
-
-
-def equivalence_harness(
-    seed: int,
-    trials: int,
-    limits: HarnessLimits = HarnessLimits(),
-    budget: int = DEFAULT_BUDGET,
-) -> HarnessReport:
-    return HarnessReport(records=list(harness_trials(seed, trials, limits, budget)))
-
-
 # ---------------------------------------------------------------------------
 # robustness threshold
-
-
-def _distinct(formulas: Iterable[BoolFormula]) -> tuple[BoolFormula, ...]:
-    seen: list[BoolFormula] = []
-    for formula in formulas:
-        if formula not in seen:
-            seen.append(formula)
-    return tuple(seen)
 
 
 def estar(
@@ -419,10 +442,10 @@ def estar(
     downward monotone in e, so binary search over 0..card(nabla)-1 applies;
     None is returned when even e = 0 fails (the conclusion never followed).
     """
-    nabla_set = _distinct(nabla)
+    nabla_set = tuple(dict.fromkeys(nabla))
     if not nabla_set:
         raise ValueError("the dubious formula set must be nonempty")
-    core = _distinct(list(delta) + [Not(omega)])
+    core = tuple(dict.fromkeys([*delta, Not(omega)]))
     n = max(
         index
         for formula in core + nabla_set

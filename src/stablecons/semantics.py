@@ -58,15 +58,6 @@ def parse_rational01(text: str) -> Fraction:
     return value
 
 
-def check_valuation(valuation: Valuation) -> None:
-    """Validate a valuation at a trust boundary (CLI, JSON)."""
-    for index, value in valuation.items():
-        if index < 1:
-            raise ValueError(f"variable index must be >= 1, got {index}")
-        if not ZERO <= value <= ONE:
-            raise ValueError(f"X{index} is assigned {value}, outside [0, 1]")
-
-
 def valuation_from_json(doc: Mapping[str, str]) -> dict[int, Fraction]:
     """Read {"X1": "2/3", ...} into a valuation."""
     valuation: dict[int, Fraction] = {}

@@ -25,12 +25,12 @@ from stablecons import (
     constraint_formula,
     ddagger,
     denominator_bounded_fractions,
-    equivalence_harness,
     estar,
     eval_bool,
     eval_luk,
     eval_luk_lattice,
     find_countermodel,
+    harness_trials,
     implies,
     lift_point,
     nnf,
@@ -141,9 +141,9 @@ def test_criterion_3_main_equivalence():
     Seed 7; k <= 3 groups, group size <= 3, n <= 3, formula size <= 6.
     """
     started = time.monotonic()
-    report_obj = equivalence_harness(seed=7, trials=200, limits=HarnessLimits())
-    assert len(report_obj.records) == 200
-    assert report_obj.disagreements == []
+    records = list(harness_trials(seed=7, trials=200, limits=HarnessLimits()))
+    assert len(records) == 200
+    assert [record for record in records if not record["agree"]] == []
     elapsed = time.monotonic() - started
     assert elapsed < 120.0
     report(3, "main equivalence", f"200/200 agreements, {elapsed:.2f}s")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -6,24 +7,29 @@ from fractions import Fraction
 
 import pytest
 
+import stablecons.decision
 from stablecons import (
     CONSEQUENCE,
     COUNTERMODEL,
     INCONCLUSIVE,
+    And,
     BudgetExceededError,
     FormulaGroup,
     HarnessLimits,
+    Not,
+    Otimes,
     StableInstance,
     Var,
     check_consequence_rho,
     coefficient_bound,
-    equivalence_harness,
+    denominator_bounded_fractions,
     estar,
     eval_bool,
     eval_luk,
     find_countermodel,
     harness_trials,
     instance_from_json,
+    lift_point,
     measure,
     parse_bool,
     parse_luk,
@@ -52,6 +58,38 @@ def instance_of(n, *groups):
             for texts, delete in groups
         ),
     )
+
+
+def bits_of(k, n):
+    """Assignment number k of ``itertools.product((0, 1), repeat=n)``."""
+    return {i: (k >> (n - i)) & 1 for i in range(1, n + 1)}
+
+
+def holding_only_at(bits):
+    """One group {psi}, delete 0, where psi holds only at the assignment."""
+    literals = [Var(i) if bit else Not(Var(i)) for i, bit in bits.items()]
+    psi = functools.reduce(And, literals)
+    return StableInstance(len(bits), (FormulaGroup((psi,), 0),))
+
+
+def scalar_grid_check(output):
+    """Reference for the grid check: one Fraction point at a time."""
+    for bits in itertools.product((0, 1), repeat=output.stats.n):
+        point = lift_point(dict(enumerate(bits, start=1)), output.e)
+        if eval_luk(output.phi, point) != 1:
+            return COUNTERMODEL, point
+    return CONSEQUENCE, None
+
+
+def scalar_pair_scan(theta, phi, max_denominator):
+    """Reference for the pair scan: one Fraction point at a time."""
+    var_order = sorted(variables(theta) | variables(phi))
+    axis = denominator_bounded_fractions(max_denominator)
+    for values in itertools.product(axis, repeat=len(var_order)):
+        point = dict(zip(var_order, values))
+        if eval_luk(theta, point) == 1 and eval_luk(phi, point) < 1:
+            return COUNTERMODEL, point
+    return INCONCLUSIVE, None
 
 
 class TestStableBruteforce:
@@ -142,6 +180,42 @@ class TestCheckConsequenceRho:
         with pytest.raises(BudgetExceededError):
             check_consequence_rho(output, budget=7)
 
+    # scan chunks hold 64, 256, 1024, 4096 rows: these straddle each boundary
+    @pytest.mark.parametrize("k", [0, 63, 64, 65, 319, 320, 1343, 1344, 4095])
+    def test_first_hit_across_chunk_boundaries(self, k):
+        bits = bits_of(k, 12)
+        output = reduce_instance(holding_only_at(bits))
+        verdict = check_consequence_rho(output)
+        assert verdict.kind == COUNTERMODEL
+        assert verdict.witness == lift_point(bits, output.e)
+
+    def test_matches_the_scalar_reference_scan(self):
+        rng = random.Random(4242)
+        limits = HarnessLimits(max_vars=6)
+        kinds = set()
+        for _ in range(200):
+            output = reduce_instance(random_instance(rng, limits))
+            verdict = check_consequence_rho(output)
+            assert (verdict.kind, verdict.witness) == scalar_grid_check(output)
+            kinds.add(verdict.kind)
+        assert kinds == {CONSEQUENCE, COUNTERMODEL}
+
+    def test_indices_decode_past_63_bits(self, monkeypatch):
+        # 2**70 grid points; the hit at index 100 sits in the second chunk
+        bits = bits_of(100, 70)
+        output = reduce_instance(holding_only_at(bits))
+        rows = []
+        lattice = stablecons.decision.eval_luk_lattice
+
+        def recording(formula, var_order, numerators, denominator):
+            rows.append(len(numerators))
+            return lattice(formula, var_order, numerators, denominator)
+
+        monkeypatch.setattr(stablecons.decision, "eval_luk_lattice", recording)
+        verdict = check_consequence_rho(output, budget=2**70)
+        assert verdict.witness == lift_point(bits, output.e)
+        assert rows == [64, 256]
+
 
 class TestFindCountermodel:
     def test_finds_the_halfway_countermodel(self):
@@ -183,6 +257,26 @@ class TestFindCountermodel:
                 assert eval_luk(theta, verdict.witness) == 1
                 assert eval_luk(phi, verdict.witness) < 1
 
+    def test_first_hit_matches_the_scalar_reference_scan(self):
+        rng = random.Random(5150)
+        kinds = set()
+        for trial in range(90):
+            m = rng.randint(1, 3)
+            phi = random_luk_formula(rng, m, 4)
+            theta = random_luk_formula(rng, m, 4)
+            if trial % 3 == 1:  # theta (*) phi = 1 forces phi = 1
+                theta = Otimes(theta, phi)
+            elif trial % 3 == 2:  # forces X1 = 1: hits lie in the last slab
+                theta = Otimes(theta, Var(1))
+            q = rng.randint(1, 5)
+            verdict = find_countermodel(theta, phi, q)
+            kind, witness = scalar_pair_scan(theta, phi, q)
+            assert (verdict.kind, verdict.witness) == (kind, witness)
+            if kind == INCONCLUSIVE:
+                assert verdict.bound == q
+            kinds.add(kind)
+        assert kinds == {COUNTERMODEL, INCONCLUSIVE}
+
 
 class TestCoefficientBound:
     def test_no_connectives(self):
@@ -208,17 +302,17 @@ class TestHarness:
         assert json.dumps(first) == json.dumps(second)
 
     def test_small_run_has_no_disagreements(self):
-        report = equivalence_harness(seed=11, trials=30)
-        assert report.disagreements == []
-        assert len(report.records) == 30
+        records = list(harness_trials(seed=11, trials=30))
+        assert [record for record in records if not record["agree"]] == []
+        assert len(records) == 30
 
     def test_records_embed_the_instance(self):
-        (record,) = equivalence_harness(seed=5, trials=1).records
+        (record,) = list(harness_trials(seed=5, trials=1))
         rebuilt = instance_from_json(record["instance"])
         assert stable_bruteforce(rebuilt).stable == record["stable"]
 
     def test_zero_trials(self):
-        assert equivalence_harness(seed=1, trials=0).records == []
+        assert list(harness_trials(seed=1, trials=0)) == []
 
 
 class TestEstar:
