@@ -44,7 +44,6 @@ from .formulas import (
     Var,
     bool_to_text,
     connective_count,
-    embed_bool,
     iff,
     implies,
     luk_to_text,

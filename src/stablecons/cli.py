@@ -10,6 +10,7 @@ stderr.  Identical argv and input files produce identical stdout bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -306,10 +307,16 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """The parser ``run`` uses, built once per process: building it costs
+    about as much as a small decision, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
         _emit_error("usage", str(exc))

@@ -14,10 +14,17 @@
 Both consequence checks run on one exact lattice scan, ``_scan``.  Their
 points have coordinates k/L for a fixed L (e+1 on the grid, the lcm of
 1..max_denominator in pair mode), so the scan evaluates the formulas on
-integer numerators with ``eval_luk_lattice``.  It decodes row indices into coordinates chunk by
-chunk; chunks start at 64 rows, so an early hit stays cheap, and grow four-fold
-up to ``_SCAN_CHUNK`` rows.  The first hit is decoded into a ``Fraction``
-witness and re-verified with the scalar ``eval_luk`` before it is reported.
+integer numerators with ``eval_luk_lattice``; L must stay below 2**62, which
+admits max_denominator <= 42.  Each chunk is a slab: the leading variables
+are fixed to scalars, one variable runs over a stretch of the axis and the
+trailing ones over the whole axis, each on its own broadcast dimension, so a
+subformula is computed only on the axes of the variables it mentions.  In
+pair mode the antecedent is evaluated on the slab first and the consequent
+only where the antecedent is 1.  Chunks start at 64 points and grow four-fold,
+each rescanning from the first point, up to ``_SCAN_CHUNK`` points; aligned
+slabs of at most that size follow.  The first hit in the slab's C order is
+the first in the scan order; it is decoded into a ``Fraction`` witness and
+re-verified with the scalar ``eval_luk`` before it is reported.
 
 All enumerations honor a hard budget and raise ``BudgetExceededError`` rather
 than truncate, and every emitted witness is deterministic: the first hit in
@@ -57,7 +64,14 @@ from .reduction import (
     instance_to_json,
     reduce_instance,
 )
-from .semantics import ONE, eval_bool, eval_luk, eval_luk_lattice, valuation_to_json
+from .semantics import (
+    ONE,
+    eval_bool,
+    eval_luk,
+    eval_luk_lattice,
+    lattice_axis,
+    valuation_to_json,
+)
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -213,11 +227,11 @@ def check_consequence_rho(
     {1/(e+1), e/(e+1)}, so evaluating the consequent there decides the
     question outright: certified consequence if it is 1 everywhere, otherwise
     the first grid point (lexicographic, low coordinate first, the last
-    variable varying fastest) where it falls short.  The grid is scanned on
-    the integer numerators {1, e} over L = e+1, in chunks of 64 rows growing
-    four-fold up to ``_SCAN_CHUNK``; the antecedent is not evaluated there,
-    since grid forcing makes every grid point one of its models, but the
-    witness is re-verified against both formulas with ``eval_luk``.
+    variable varying fastest) where it falls short.  The grid is scanned by
+    ``_scan`` on the integer numerators {1, e} over L = e+1, as slabs of up
+    to ``_SCAN_CHUNK`` points; the antecedent is not evaluated there, since
+    grid forcing makes every grid point one of its models, but the witness
+    is re-verified against both formulas with ``eval_luk``.
     """
     n = output.stats.n
     _check_budget(2**n, budget, "grid enumeration")
@@ -230,16 +244,20 @@ def check_consequence_rho(
 
 
 def denominator_bounded_fractions(max_denominator: int) -> list[Fraction]:
-    """All rationals p/q in [0, 1] with q <= max_denominator, ascending."""
+    """All rationals p/q in [0, 1] with q <= max_denominator, ascending.
+
+    This is the Farey sequence of that order, generated term by term: after
+    a/b and c/d comes (k*c - a)/(k*d - b) with k = (max_denominator + b) // d.
+    """
     if max_denominator < 1:
         raise ValueError(f"max_denominator must be >= 1, got {max_denominator}")
-    return sorted(
-        {
-            Fraction(p, q)
-            for q in range(1, max_denominator + 1)
-            for p in range(q + 1)
-        }
-    )
+    a, b, c, d = 0, 1, 1, max_denominator
+    fractions = [Fraction(0)]
+    while c <= max_denominator:
+        k = (max_denominator + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+        fractions.append(Fraction(a, b))
+    return fractions
 
 
 def find_countermodel(
@@ -253,8 +271,11 @@ def find_countermodel(
     Returns the lexicographically first countermodel (antecedent exactly 1,
     consequent < 1) or ``inconclusive_at_bound``.  Sound as a refuter always;
     complete only when the bound covers the pair's true vertex denominators.
-    The points are scanned on integer numerators over
-    L = lcm(1..max_denominator); the witness is re-verified with ``eval_luk``.
+    The points are scanned by ``_scan`` on integer numerators over
+    L = lcm(1..max_denominator), which must stay below 2**62, so bounds past
+    42 raise ``ValueError`` before any scan.  Each slab evaluates the
+    antecedent first and the consequent only at the antecedent's models; the
+    witness is re-verified with ``eval_luk``.
     """
     var_order = sorted(variables(theta) | variables(phi))
     fractions = denominator_bounded_fractions(max_denominator)
@@ -283,33 +304,94 @@ def _scan(
     Every coordinate of a point is an entry of ``axis``, a numerator over L,
     one coordinate per variable of ``var_order``.  Points are scanned in
     lexicographic order of their axis positions, the last variable varying
-    fastest.  Row indices are decoded by adding the chunk's offsets to the
-    base-len(axis) digits of its Python-int start, so indices past 2**63 stay
-    exact.  Returns the first hit's numerators, or None.
+    fastest.  ``L`` and the axis are checked once, by ``lattice_axis``.
+
+    The scan runs over rectangles of that order (see ``_scan_rectangle``).
+    While chunks grow (64 points, then four-fold up to ``_SCAN_CHUNK``), each
+    one is the largest rectangle of the target size that starts at point 0,
+    so it rescans its predecessors: an early hit stays cheap, and a
+    rectangle cannot start where a four-fold larger one ended.  After that
+    come aligned slabs of up to ``_SCAN_CHUNK`` points in order.  Returns the
+    first hit's numerators, or None.
     """
-    m = len(var_order)
-    base = len(axis)
-    total = base**m
-    numerators = np.asarray(axis, dtype=np.int64)
-    start, size = 0, _FIRST_CHUNK
-    while start < total:
-        rows = min(size, total - start)
-        coords = np.empty((rows, m), dtype=np.int64)
-        carry = np.arange(rows, dtype=np.int64)
-        high = start
-        for column in range(m - 1, -1, -1):
-            high, digit = divmod(high, base)
-            carry, position = np.divmod(carry + digit, base)
-            coords[:, column] = numerators[position]
-        hit = eval_luk_lattice(phi, var_order, coords, L) < L
-        if theta is not None:
-            hit &= eval_luk_lattice(theta, var_order, coords, L) == L
-        first = np.flatnonzero(hit)
-        if first.size:
-            return tuple(int(value) for value in coords[first[0]])
-        start += rows
-        size = min(4 * size, _SCAN_CHUNK)
+    values = lattice_axis(axis, L)
+    base, m = len(values), len(var_order)
+    k, width = _rectangle(_SCAN_CHUNK, base, m)
+    size = _FIRST_CHUNK
+    while True:
+        grow_k, grow_width = _rectangle(size, base, m)
+        if grow_width * base**grow_k >= width * base**k:  # the first slab
+            break
+        hit = _scan_rectangle(theta, phi, var_order, values, L, 0, 0, grow_width, grow_k)
+        if hit is not None:
+            return hit
+        size *= 4
+    for lead in range(base ** (m - k - 1)):
+        for low in range(0, base, width):
+            high = min(low + width, base)
+            hit = _scan_rectangle(theta, phi, var_order, values, L, lead, low, high, k)
+            if hit is not None:
+                return hit
     return None
+
+
+def _rectangle(points: int, base: int, m: int) -> tuple[int, int]:
+    """(k, width) of the largest rectangle of at most ``points`` points.
+
+    A rectangle runs its last k variables over the whole axis and the one
+    before them over ``width`` <= base consecutive axis positions.
+    """
+    k = 0
+    while k < m - 1 and base ** (k + 1) <= points:
+        k += 1
+    return k, min(base, points // base**k)
+
+
+def _scan_rectangle(
+    theta: LukFormula | None,
+    phi: LukFormula,
+    var_order: Sequence[int],
+    values: np.ndarray,
+    L: int,
+    lead: int,
+    low: int,
+    high: int,
+    k: int,
+) -> tuple[int, ...] | None:
+    """First hit among the points of one rectangle, as one broadcast slab.
+
+    The leading m-k-1 coordinates are fixed to the axis entries at the
+    base-len(values) digits of ``lead`` and bound as scalars (``lead`` is a
+    Python int, so it stays exact past 2**63).  The slab variable runs over
+    axis positions low..high-1 and each of the last k variables over the
+    whole axis, each on its own broadcast dimension, so the slab's C order
+    is the scan order.  With theta given, theta is evaluated on the slab and
+    phi only on the points where theta = L, gathered in C order by
+    ``np.nonzero``.
+    """
+    base, m = len(values), len(var_order)
+    fixed = []
+    for _ in range(m - k - 1):
+        lead, digit = divmod(lead, base)
+        fixed.append(int(values[digit]))
+    fixed.reverse()
+    shape = (high - low,) + (base,) * k
+    axes = [values[low:high].reshape(shape[:1] + (1,) * k)]
+    axes += [values.reshape((base,) + (1,) * (k - 1 - t)) for t in range(k)]
+    if theta is not None:
+        value = eval_luk_lattice(theta, var_order, fixed + axes, L, checked=True)
+        models = np.nonzero(np.broadcast_to(value == L, shape))
+        if not models[0].size:
+            return None
+        axes = [values[low + models[0]]] + [values[p] for p in models[1:]]
+        shape = models[0].shape
+    value = eval_luk_lattice(phi, var_order, fixed + axes, L, checked=True)
+    misses = np.broadcast_to(value < L, shape)
+    first = int(misses.argmax())
+    if not misses.flat[first]:
+        return None
+    index = np.unravel_index(first, shape)
+    return tuple(fixed) + tuple(int(np.broadcast_to(a, shape)[index]) for a in axes)
 
 
 def _countermodel(

@@ -125,24 +125,6 @@ def multiple(k: int, a: LukFormula) -> LukFormula:
     return out
 
 
-def embed_bool(formula: BoolFormula) -> LukFormula:
-    """Map a boolean formula into the many-valued language.
-
-    ``Not``/``And``/``Or`` become ``Neg``/``Meet``/``Join``; on 0/1 inputs the
-    images compute exactly the classical connectives.
-    """
-    match formula:
-        case Var():
-            return formula
-        case Not(child):
-            return Neg(embed_bool(child))
-        case And(left, right):
-            return Meet(embed_bool(left), embed_bool(right))
-        case Or(left, right):
-            return Join(embed_bool(left), embed_bool(right))
-    raise TypeError(f"not a boolean formula: {formula!r}")
-
-
 # ---------------------------------------------------------------------------
 # walks and size accounting
 

@@ -8,7 +8,9 @@ declared variable set.
 Besides the scalar reference evaluator there is a batch evaluator over the
 integer lattice {0, 1/L, ..., L/L}: truncated addition and its dual, min, max
 and complement all stay on the lattice, so scaled integer arithmetic is exact
-and enumeration-heavy searches can be vectorized.
+and enumeration-heavy searches can be vectorized.  It takes one broadcastable
+array per variable, so a search can lay its points out as a grid of axes and
+compute each subformula only on the axes of the variables it mentions.
 """
 
 from __future__ import annotations
@@ -118,38 +120,69 @@ def satisfies(valuation: Valuation, formulas: Iterable[LukFormula]) -> bool:
     return all(eval_luk(formula, valuation) == ONE for formula in formulas)
 
 
-def eval_luk_lattice(
-    formula: LukFormula,
-    var_order: Sequence[int],
-    numerators: np.ndarray,
-    denominator: int,
-) -> np.ndarray:
-    """Evaluate one formula at many lattice points at once, exactly.
+def lattice_axis(values, denominator: int) -> np.ndarray:
+    """``values`` as int64 numerators over ``denominator``, checked.
 
-    ``numerators`` has shape (npoints, len(var_order)); entry [p, j] is the
-    coordinate of variable ``var_order[j]`` at point p, scaled by
-    ``denominator``.  Returns the (npoints,) array of value numerators over
-    the same denominator.  Agrees with ``eval_luk`` pointwise.
+    The denominator must satisfy 1 <= L < 2**62: every intermediate value of
+    ``eval_luk_lattice`` lies in [-L, 2L], so this is the bound under which
+    int64 arithmetic stays exact.  It is checked before any value is
+    converted, so an oversized lattice is a ``ValueError``, never an
+    overflow.  Every value must lie in [0, L].
     """
     L = int(denominator)
     if L < 1:
         raise ValueError(f"denominator must be >= 1, got {L}")
-    if L > 2**31:
+    if L >= 2**62:
         raise ValueError(f"denominator {L} too large for int64 lattice arithmetic")
-    arr = np.asarray(numerators, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != len(var_order):
-        raise ValueError(
-            f"numerators must have shape (npoints, {len(var_order)}), got {arr.shape}"
-        )
+    try:
+        arr = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("lattice coordinates must lie in [0, denominator]") from None
     if arr.size and (arr.min() < 0 or arr.max() > L):
         raise ValueError("lattice coordinates must lie in [0, denominator]")
-    columns = {index: j for j, index in enumerate(var_order)}
+    return arr
+
+
+def eval_luk_lattice(
+    formula: LukFormula,
+    var_order: Sequence[int],
+    numerators: Sequence | np.ndarray,
+    denominator: int,
+    *,
+    checked: bool = False,
+) -> np.ndarray:
+    """Evaluate one formula at many lattice points at once, exactly.
+
+    ``numerators`` holds one integer array per variable of ``var_order``: the
+    coordinates of that variable scaled by ``denominator``.  A 2-D array is
+    read column by column, so an (npoints, len(var_order)) matrix gives one
+    coordinate row per point.  The arrays broadcast against each other, and
+    each subformula is computed only on the broadcast of the arrays of the
+    variables it mentions: one whose variables are all bound to scalars is
+    computed once, as a scalar.  Returns the value numerators over the same
+    denominator, shaped like that broadcast.  Agrees with ``eval_luk``
+    pointwise.
+
+    Each array is checked with ``lattice_axis`` unless ``checked`` says the
+    caller already did so for the values it draws the arrays from.
+    """
+    L = int(denominator)
+    if isinstance(numerators, np.ndarray):
+        numerators = numerators.T
+    if len(numerators) != len(var_order):
+        raise ValueError(
+            f"numerators must hold {len(var_order)} coordinate arrays, "
+            f"got {len(numerators)}"
+        )
+    if not checked:
+        numerators = [lattice_axis(values, L) for values in numerators]
+    columns = dict(zip(var_order, numerators))
 
     def rec(node: LukFormula) -> np.ndarray:
         match node:
             case Var(index):
                 try:
-                    return arr[:, columns[index]]
+                    return columns[index]
                 except KeyError:
                     raise UnboundVariableError(index) from None
             case Neg(child):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stablecons
 from stablecons.cli import run
 
 
@@ -211,6 +216,40 @@ class TestCheckConsequenceCommand:
         assert doc["kind"] == "inconclusive_at_bound"
         assert doc["bound"] == 8
 
+    @pytest.mark.parametrize("bound, witness", [("23", "1/23"), ("42", "1/41")])
+    def test_pair_mode_up_to_denominator_42(self, capsys, bound, witness):
+        # theta = 41 X1 is 1 from X1 = 1/41 on; the first such point of the
+        # scan is 1/23 at bound 23, and 1/41 itself at bound 42
+        code, doc = invoke_json(
+            capsys,
+            "check-consequence",
+            "--theta",
+            " (+) ".join(["X1"] * 41),
+            "--phi",
+            "X1",
+            "--max-denominator",
+            bound,
+        )
+        assert code == 1
+        assert doc["witness"] == {"X1": witness}
+
+    @pytest.mark.parametrize("bound", ["43", "50"])
+    def test_denominator_past_int64_is_a_value_error(self, capsys, bound):
+        code, out, err = invoke(
+            capsys,
+            "check-consequence",
+            "--theta",
+            "X1",
+            "--phi",
+            "X1",
+            "--max-denominator",
+            bound,
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "value"
+        assert "too large" in json.loads(out)["error"]["message"]
+        assert "Traceback" not in err
+
     def test_both_modes_rejected(self, capsys, instance_file):
         code, doc = invoke_json(
             capsys,
@@ -299,3 +338,29 @@ class TestDeterminism:
 
         witness = valuation_from_json(json.loads(out)["witness"])
         assert witness == {1: __import__("fractions").Fraction(1, 3)}
+
+    def test_repeated_runs_match_fresh_processes(self, capsys, instance_file):
+        # run() keeps one parser per process; reusing it after a success and
+        # a usage error must print what a fresh process prints
+        calls = [
+            ["check-consequence", instance_file(LOOSENED)],
+            ["check-consequence", "--theta", "X1"],
+            ["eval", "--luk", "X1 (+) X2", "--at", "X1=1/3", "--at", "X2=1/2"],
+            ["parse", "--bool", "X1", "--luk", "X1"],
+            ["check-consequence", instance_file(LOOSENED)],
+        ]
+        in_process = [invoke(capsys, *argv)[:2] for argv in calls]
+        src = str(Path(stablecons.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        fresh = []
+        for argv in calls:
+            done = subprocess.run(
+                [sys.executable, "-m", "stablecons.cli", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            fresh.append((done.returncode, done.stdout))
+        assert in_process == fresh
+        assert [code for code, _ in fresh] == [1, 2, 0, 2, 1]

@@ -4,8 +4,12 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import stablecons.decision
 from stablecons import (
@@ -39,6 +43,7 @@ from stablecons import (
     stable_bruteforce,
     variables,
 )
+from formula_strategies import luk_formulas
 
 
 def unsatisfiable(formulas, n):
@@ -204,17 +209,18 @@ class TestCheckConsequenceRho:
         # 2**70 grid points; the hit at index 100 sits in the second chunk
         bits = bits_of(100, 70)
         output = reduce_instance(holding_only_at(bits))
-        rows = []
+        points = []
         lattice = stablecons.decision.eval_luk_lattice
 
-        def recording(formula, var_order, numerators, denominator):
-            rows.append(len(numerators))
-            return lattice(formula, var_order, numerators, denominator)
+        def recording(formula, var_order, numerators, denominator, **options):
+            shapes = [np.shape(values) for values in numerators]
+            points.append(math.prod(np.broadcast_shapes(*shapes)))
+            return lattice(formula, var_order, numerators, denominator, **options)
 
         monkeypatch.setattr(stablecons.decision, "eval_luk_lattice", recording)
         verdict = check_consequence_rho(output, budget=2**70)
         assert verdict.witness == lift_point(bits, output.e)
-        assert rows == [64, 256]
+        assert points == [64, 256]
 
 
 class TestFindCountermodel:
@@ -276,6 +282,117 @@ class TestFindCountermodel:
                 assert verdict.bound == q
             kinds.add(kind)
         assert kinds == {COUNTERMODEL, INCONCLUSIVE}
+
+
+def scan_schedule(first, largest):
+    """Run the scan with other chunk sizes: small ones put leading
+    (scalar-bound) variables and aligned slabs into small lattices."""
+    return mock.patch.multiple(
+        stablecons.decision, _FIRST_CHUNK=first, _SCAN_CHUNK=largest
+    )
+
+
+# the default schedule and two small ones; with q = 3 (5 axis entries) and
+# four variables, (2, 16) scans [0, 2) and [0, 5) and then aligned slabs of
+# 15 and 10 points, with two leading variables fixed
+SCHEDULES = [(64, 1 << 16), (2, 16), (4, 128)]
+
+
+class TestScanShapes:
+    @settings(max_examples=60)
+    @given(
+        luk_formulas(max_index=4, max_leaves=5),
+        luk_formulas(max_index=4, max_leaves=5),
+        st.integers(1, 6),
+        st.sampled_from(["plain", "theta and phi", "forces X1"]),
+        st.sampled_from(SCHEDULES),
+    )
+    def test_pair_scan_matches_the_scalar_reference(
+        self, theta, phi, q, shape, schedule
+    ):
+        if shape == "theta and phi":
+            theta = Otimes(theta, phi)
+        elif shape == "forces X1":
+            theta = Otimes(theta, Var(1))
+        with scan_schedule(*schedule):
+            verdict = find_countermodel(theta, phi, q)
+        assert (verdict.kind, verdict.witness) == scalar_pair_scan(theta, phi, q)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [
+            # variables with gaps: var_order is (2, 5, 7)
+            ("X2 (+) X5 (+) X7", "X7 (*) X2 (+) X5"),
+            ("~X5 (*) X7 (+) X2", "X2 /\\ X5"),
+            # theta mentions only X1, a leading variable under small chunks
+            ("X1 (+) X1", "X1 (*) X2 (*) X3 (*) X4"),
+            # phi mentions only X1
+            ("X2 (+) X3 (+) X4 (+) X1", "X1 (+) X1 (+) X1"),
+            # neither mentions X2 or X3, the slab variable of some chunks
+            ("X1 (+) X4 (+) X4", "X4 (*) X1 (+) X1 (*) X4"),
+            ("X1 (+) X4", "(X1 (*) X4) \\/ (X2 (*) X3)"),
+            # the first model has X1 < X2, so the leading digits' order shows
+            ("X1 (+) X2", "X3 (*) X4"),
+            # a consequence: the scan runs to the end
+            ("X1 (*) X2 (*) X3 (*) X4", "X4 (+) X3"),
+        ],
+    )
+    def test_formulas_off_the_slab_axes(self, theta, phi, schedule):
+        theta, phi = parse_luk(theta), parse_luk(phi)
+        for q in (1, 2, 3):
+            with scan_schedule(*schedule):
+                verdict = find_countermodel(theta, phi, q)
+            assert (verdict.kind, verdict.witness) == scalar_pair_scan(theta, phi, q)
+
+    # with n = 17 the scan covers [0, 64), [0, 256), ..., [0, 16384) while
+    # chunks grow, then the aligned slabs [0, 65536) and [65536, 131072)
+    @pytest.mark.parametrize(
+        "k, chunks",
+        [
+            (16383, [64, 256, 1024, 4096, 16384]),
+            (16384, [64, 256, 1024, 4096, 16384, 65536]),
+            (65535, [64, 256, 1024, 4096, 16384, 65536]),
+            (65536, [64, 256, 1024, 4096, 16384, 65536, 65536]),
+            (2**17 - 1, [64, 256, 1024, 4096, 16384, 65536, 65536]),
+        ],
+    )
+    def test_first_hit_at_the_schedule_boundaries(self, monkeypatch, k, chunks):
+        bits = bits_of(k, 17)
+        output = reduce_instance(holding_only_at(bits))
+        points = []
+        lattice = stablecons.decision.eval_luk_lattice
+
+        def recording(formula, var_order, numerators, denominator, **options):
+            shapes = [np.shape(values) for values in numerators]
+            points.append(math.prod(np.broadcast_shapes(*shapes)))
+            return lattice(formula, var_order, numerators, denominator, **options)
+
+        monkeypatch.setattr(stablecons.decision, "eval_luk_lattice", recording)
+        verdict = check_consequence_rho(output)
+        assert verdict.witness == lift_point(bits, output.e)
+        assert points == chunks
+
+    @pytest.mark.parametrize("q", [23, 42])
+    def test_denominators_past_2_to_the_31(self, q):
+        # lcm(1..23) > 2**32 and lcm(1..42) ~ 2.2e17; both still scan exactly
+        pairs = [
+            (" (+) ".join(["X1"] * 41), "X1"),  # theta = 1 from X1 = 1/41 on
+            ("X1", "X1 (+) X1"),
+            ("X1 (+) X1", "X1 (*) X1 (+) X1 (*) X1"),
+        ]
+        witnesses = []
+        for theta, phi in pairs:
+            theta, phi = parse_luk(theta), parse_luk(phi)
+            verdict = find_countermodel(theta, phi, q)
+            assert (verdict.kind, verdict.witness) == scalar_pair_scan(theta, phi, q)
+            witnesses.append(verdict.witness)
+        assert witnesses[0] == {1: Fraction(1, min(q, 41))}
+        assert witnesses[1] is None
+
+    def test_denominator_past_int64_is_rejected_before_scanning(self):
+        with pytest.raises(ValueError, match="too large"):
+            find_countermodel(parse_luk("X1"), parse_luk("X1"), 43)
 
 
 class TestCoefficientBound:
