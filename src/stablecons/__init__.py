@@ -81,8 +81,6 @@ from .semantics import (
     eval_luk,
     eval_luk_lattice,
     parse_rational01,
-    satisfies,
-    valuation_from_json,
     valuation_to_json,
 )
 

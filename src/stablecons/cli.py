@@ -342,9 +342,6 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         _emit_error("io", str(exc))
         return EXIT_USAGE
-    except RecursionError:
-        _emit_error("value", "formula nesting too deep to evaluate")
-        return EXIT_USAGE
 
 
 def main() -> None:

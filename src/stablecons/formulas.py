@@ -17,17 +17,44 @@ ASCII connective spellings, tightest-binding first::
 
 Variables are spelled ``X1``, ``X2``, ...  Boolean formulas use only ``~``,
 ``/\\`` and ``\\/``.
+
+No walk over a formula recurses, so nesting depth is bounded only by memory.
+``_nodes`` lists the nodes with an explicit stack, and ``fold`` runs a
+post-order fold over that list: it takes a table from node type to an
+operation on the node and its children's results.  Evaluation, negation
+normal form, the many-valued translation, renaming and printing are each one
+such table.  Node equality and hashing compare the flat pre-order key of the
+nodes.  One stack-based precedence parser reads both languages; the boolean
+one is the connective table without ``(+)``, ``(*)``, ``->`` and ``<->``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Any, Callable, Mapping, Union
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class _Node:
+    """Structural equality and hashing over the flat pre-order key."""
+
+    __slots__ = ()
+
+    def _key(self) -> list:
+        nodes = _nodes(self)
+        return [node.index if type(node) is Var else type(node) for node in nodes]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._key()))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Var(_Node):
     """Propositional variable X_index; a leaf of both languages."""
 
     index: int
@@ -37,48 +64,48 @@ class Var:
             raise ValueError(f"variable index must be >= 1, got {self.index}")
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
+@dataclass(frozen=True, slots=True, eq=False)
+class Not(_Node):
     child: "BoolFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class And:
+@dataclass(frozen=True, slots=True, eq=False)
+class And(_Node):
     left: "BoolFormula"
     right: "BoolFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
+@dataclass(frozen=True, slots=True, eq=False)
+class Or(_Node):
     left: "BoolFormula"
     right: "BoolFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
+@dataclass(frozen=True, slots=True, eq=False)
+class Neg(_Node):
     child: "LukFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class Oplus:
+@dataclass(frozen=True, slots=True, eq=False)
+class Oplus(_Node):
     left: "LukFormula"
     right: "LukFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class Otimes:
+@dataclass(frozen=True, slots=True, eq=False)
+class Otimes(_Node):
     left: "LukFormula"
     right: "LukFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class Meet:
+@dataclass(frozen=True, slots=True, eq=False)
+class Meet(_Node):
     left: "LukFormula"
     right: "LukFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class Join:
+@dataclass(frozen=True, slots=True, eq=False)
+class Join(_Node):
     left: "LukFormula"
     right: "LukFormula"
 
@@ -87,8 +114,7 @@ BoolFormula = Union[Var, Not, And, Or]
 LukFormula = Union[Var, Neg, Oplus, Otimes, Meet, Join]
 Formula = Union[BoolFormula, LukFormula]
 
-_UNARY = (Not, Neg)
-_BINARY = (And, Or, Oplus, Otimes, Meet, Join)
+_ARITY = {Var: 0, Not: 1, Neg: 1, And: 2, Or: 2, Oplus: 2, Otimes: 2, Meet: 2, Join: 2}
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +155,45 @@ def multiple(k: int, a: LukFormula) -> LukFormula:
 # walks and size accounting
 
 
-def _nodes(formula: Formula) -> Iterator[Formula]:
+def _nodes(formula: Formula) -> list[Formula]:
+    """Every node in pre-order, the right subtree before the left one."""
+    nodes: list[Formula] = []
     stack: list[Formula] = [formula]
     while stack:
         node = stack.pop()
-        yield node
-        if isinstance(node, _UNARY):
-            stack.append(node.child)
-        elif isinstance(node, _BINARY):
+        nodes.append(node)
+        arity = _ARITY.get(type(node))
+        if arity == 2:
             stack.append(node.left)
             stack.append(node.right)
+        elif arity == 1:
+            stack.append(node.child)
+    return nodes
+
+
+def fold(formula: Formula, table: Mapping[type, Callable[..., Any]]) -> Any:
+    """Post-order fold: the root's result, computed without recursion.
+
+    ``table`` maps each node type to an operation called with the node and
+    the results of its children, left child first.  A node type missing from
+    the table is a ``TypeError``.
+    """
+    results: list[Any] = []
+    for node in reversed(_nodes(formula)):  # children before parents, left first
+        kind = type(node)
+        try:
+            op = table[kind]
+        except KeyError:
+            raise TypeError(f"unexpected node {kind.__name__}") from None
+        arity = _ARITY[kind]
+        if arity == 2:
+            right = results.pop()
+            results[-1] = op(node, results[-1], right)
+        elif arity == 1:
+            results[-1] = op(node, results[-1])
+        else:
+            results.append(op(node))
+    return results[0]
 
 
 def variables(formula: Formula) -> set[int]:
@@ -186,44 +241,53 @@ def measure(formula: Formula) -> FormulaLength:
 
 
 # ---------------------------------------------------------------------------
-# printing (minimal parentheses, inverse of the parsers below)
+# printing (minimal parentheses, inverse of the parser below)
 
 _LEVEL_LATTICE, _LEVEL_OPLUS, _LEVEL_OTIMES, _LEVEL_UNARY, _LEVEL_ATOM = range(5)
 
 
-def _fmt(node: Formula, floor: int) -> str:
-    match node:
-        case Var(index):
-            return f"X{index}"
-        case Not(child) | Neg(child):
-            text = "~" + _fmt(child, _LEVEL_UNARY)
-            level = _LEVEL_UNARY
-        case Otimes(left, right):
-            text = f"{_fmt(left, _LEVEL_OTIMES)} (*) {_fmt(right, _LEVEL_UNARY)}"
-            level = _LEVEL_OTIMES
-        case Oplus(left, right):
-            text = f"{_fmt(left, _LEVEL_OPLUS)} (+) {_fmt(right, _LEVEL_OTIMES)}"
-            level = _LEVEL_OPLUS
-        case And(left, right) | Meet(left, right) | Or(left, right) | Join(left, right):
-            op = "/\\" if isinstance(node, (And, Meet)) else "\\/"
+def _wrap(printed: tuple[str, int], floor: int) -> str:
+    text, level = printed
+    return f"({text})" if level < floor else text
+
+
+def _infix(symbol: str, level: int, right_floor: int) -> Callable[..., tuple[str, int]]:
+    def op(node: Formula, left: tuple[str, int], right: tuple[str, int]):
+        left_floor = level
+        if level == _LEVEL_LATTICE and type(node.left) is not type(node):
             # a same-operator left chain may continue unparenthesized, the
             # other lattice operator may not (mixing needs parentheses)
-            left_floor = _LEVEL_LATTICE if type(left) is type(node) else _LEVEL_OPLUS
-            text = f"{_fmt(left, left_floor)} {op} {_fmt(right, _LEVEL_OPLUS)}"
-            level = _LEVEL_LATTICE
-        case _:
-            raise TypeError(f"not a formula: {node!r}")
-    return f"({text})" if level < floor else text
+            left_floor = _LEVEL_OPLUS
+        return f"{_wrap(left, left_floor)} {symbol} {_wrap(right, right_floor)}", level
+
+    return op
+
+
+def _negation(node: Formula, child: tuple[str, int]) -> tuple[str, int]:
+    return "~" + _wrap(child, _LEVEL_UNARY), _LEVEL_UNARY
+
+
+_PRINT = {
+    Var: lambda node: (f"X{node.index}", _LEVEL_ATOM),
+    Not: _negation,
+    Neg: _negation,
+    Otimes: _infix("(*)", _LEVEL_OTIMES, _LEVEL_UNARY),
+    Oplus: _infix("(+)", _LEVEL_OPLUS, _LEVEL_OTIMES),
+    And: _infix("/\\", _LEVEL_LATTICE, _LEVEL_OPLUS),
+    Meet: _infix("/\\", _LEVEL_LATTICE, _LEVEL_OPLUS),
+    Or: _infix("\\/", _LEVEL_LATTICE, _LEVEL_OPLUS),
+    Join: _infix("\\/", _LEVEL_LATTICE, _LEVEL_OPLUS),
+}
 
 
 def luk_to_text(formula: LukFormula) -> str:
     """Render a many-valued formula with minimal parentheses."""
-    return _fmt(formula, _LEVEL_LATTICE)
+    return fold(formula, _PRINT)[0]
 
 
 def bool_to_text(formula: BoolFormula) -> str:
     """Render a boolean formula with minimal parentheses."""
-    return _fmt(formula, _LEVEL_LATTICE)
+    return fold(formula, _PRINT)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -292,133 +356,96 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
+# Binding strength of the binary connectives.  (*), (+) and the lattice pair
+# associate to the left; -> associates to the right; <-> takes a lattice
+# level formula on each side and does not chain.
+_PRECEDENCE = {"otimes": 3, "oplus": 2, "and": 1, "or": 1, "implies": 0, "iff": 0}
+_LATTICE = 1
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
+_BOOL_CONNECTIVES = {"and": And, "or": Or}
+_LUK_CONNECTIVES = {
+    "otimes": Otimes,
+    "oplus": Oplus,
+    "and": Meet,
+    "or": Join,
+    "implies": implies,
+    "iff": iff,
+}
 
-    def _next(self) -> _Token:
-        token = self._tokens[self._pos]
-        self._pos += 1
-        return token
 
-    def _expect(self, kind: str, what: str) -> None:
-        token = self._next()
-        if token.kind != kind:
-            raise FormulaSyntaxError(f"expected {what}", token.offset)
+def _parse(
+    text: str, negation: type, connectives: Mapping[str, Callable[..., Formula]]
+) -> Formula:
+    """Operator-precedence parse of one formula, without recursion.
 
-    def finish(self, boolean: bool) -> None:
-        token = self._peek()
-        if token.kind == "end":
-            return
-        if boolean and token.kind in _LUK_ONLY:
-            raise FormulaSyntaxError(
-                f"'{_LUK_ONLY[token.kind]}' is not a boolean connective", token.offset
-            )
-        raise FormulaSyntaxError("unexpected trailing input", token.offset)
+    ``operands`` holds finished subformulas and ``pending`` the open
+    parentheses, negations and binary connectives still waiting for their
+    right operand.
+    """
+    tokens = _tokenize(text)
+    operands: list[Formula] = []
+    pending: list[str] = []
 
-    # -- many-valued grammar ------------------------------------------------
+    def apply(level: int) -> None:
+        # pending connectives at least as strong as level take their operands;
+        # "(" and "~" have no precedence and stop the loop
+        while pending and _PRECEDENCE.get(pending[-1], -1) >= level:
+            right = operands.pop()
+            operands[-1] = connectives[pending.pop()](operands[-1], right)
 
-    def luk_formula(self) -> LukFormula:
-        left = self.luk_lattice()
-        token = self._peek()
-        if token.kind == "implies":
-            self._next()
-            return implies(left, self.luk_formula())
-        if token.kind == "iff":
-            self._next()
-            return iff(left, self.luk_lattice())
-        return left
-
-    def luk_lattice(self) -> LukFormula:
-        node = self.luk_oplus()
-        first = self._peek()
-        while (token := self._peek()).kind in ("and", "or"):
-            if token.kind != first.kind:
-                raise FormulaSyntaxError(
-                    "mixing '/\\' and '\\/' needs parentheses", token.offset
-                )
-            self._next()
-            right = self.luk_oplus()
-            node = Meet(node, right) if token.kind == "and" else Join(node, right)
-        return node
-
-    def luk_oplus(self) -> LukFormula:
-        node = self.luk_otimes()
-        while self._peek().kind == "oplus":
-            self._next()
-            node = Oplus(node, self.luk_otimes())
-        return node
-
-    def luk_otimes(self) -> LukFormula:
-        node = self.luk_unary()
-        while self._peek().kind == "otimes":
-            self._next()
-            node = Otimes(node, self.luk_unary())
-        return node
-
-    def luk_unary(self) -> LukFormula:
-        if self._peek().kind == "not":
-            self._next()
-            return Neg(self.luk_unary())
-        return self.luk_atom()
-
-    def luk_atom(self) -> LukFormula:
-        token = self._next()
-        if token.kind == "var":
-            return Var(token.index)
-        if token.kind == "lparen":
-            node = self.luk_formula()
-            self._expect("rparen", "')'")
-            return node
-        raise FormulaSyntaxError("expected a variable, '~' or '('", token.offset)
-
-    # -- boolean grammar ----------------------------------------------------
-
-    def bool_formula(self) -> BoolFormula:
-        node = self.bool_unary()
-        first = self._peek()
-        while (token := self._peek()).kind in ("and", "or"):
-            if token.kind != first.kind:
-                raise FormulaSyntaxError(
-                    "mixing '/\\' and '\\/' needs parentheses", token.offset
-                )
-            self._next()
-            right = self.bool_unary()
-            node = And(node, right) if token.kind == "and" else Or(node, right)
-        return node
-
-    def bool_unary(self) -> BoolFormula:
-        if self._peek().kind == "not":
-            self._next()
-            return Not(self.bool_unary())
-        return self.bool_atom()
-
-    def bool_atom(self) -> BoolFormula:
-        token = self._next()
-        if token.kind == "var":
-            return Var(token.index)
-        if token.kind == "lparen":
-            node = self.bool_formula()
-            self._expect("rparen", "')'")
-            return node
-        raise FormulaSyntaxError("expected a variable, '~' or '('", token.offset)
+    position = 0
+    while True:
+        token = tokens[position]
+        while token.kind in ("not", "lparen"):
+            pending.append(token.kind)
+            position += 1
+            token = tokens[position]
+        if token.kind != "var":
+            raise FormulaSyntaxError("expected a variable, '~' or '('", token.offset)
+        operands.append(Var(token.index))
+        position += 1
+        # an operand is complete: look for the connective that continues it
+        while True:
+            while pending and pending[-1] == "not":
+                pending.pop()
+                operands[-1] = negation(operands[-1])
+            token = tokens[position]
+            position += 1
+            kind = token.kind
+            if kind in connectives:
+                level = _PRECEDENCE[kind]
+                apply(level + 1)
+                top = pending[-1] if pending else None
+                if level == _LATTICE and top in ("and", "or") and top != kind:
+                    raise FormulaSyntaxError(
+                        "mixing '/\\' and '\\/' needs parentheses", token.offset
+                    )
+                if not (level == 0 and top == "iff"):  # <-> does not chain
+                    if level:  # left-associative
+                        apply(level)
+                    pending.append(kind)
+                    break
+            # anything else ends the innermost parenthesized formula, or the
+            # whole text when no parenthesis is open
+            apply(0)
+            if not pending:
+                if kind == "end":
+                    return operands[0]
+                if kind in _LUK_ONLY and kind not in connectives:
+                    raise FormulaSyntaxError(
+                        f"'{_LUK_ONLY[kind]}' is not a boolean connective", token.offset
+                    )
+                raise FormulaSyntaxError("unexpected trailing input", token.offset)
+            if kind != "rparen":
+                raise FormulaSyntaxError("expected ')'", token.offset)
+            pending.pop()
 
 
 def parse_bool(text: str) -> BoolFormula:
     """Parse boolean formula text; no simplification is performed."""
-    parser = _Parser(_tokenize(text))
-    node = parser.bool_formula()
-    parser.finish(boolean=True)
-    return node
+    return _parse(text, Not, _BOOL_CONNECTIVES)
 
 
 def parse_luk(text: str) -> LukFormula:
     """Parse many-valued formula text (``->``/``<->`` expand on the spot)."""
-    parser = _Parser(_tokenize(text))
-    node = parser.luk_formula()
-    parser.finish(boolean=False)
-    return node
+    return _parse(text, Neg, _LUK_CONNECTIVES)

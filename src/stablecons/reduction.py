@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce as fold
+from functools import reduce
 from typing import Any, Mapping
 
 from .formulas import (
@@ -28,6 +28,7 @@ from .formulas import (
     Otimes,
     Var,
     bool_to_text,
+    fold,
     iff,
     implies,
     measure,
@@ -46,27 +47,29 @@ class InstanceError(ValueError):
 # formula transforms
 
 
+def _nnf_pairs(formula: BoolFormula, positive, negative, conj, disj):
+    """The images of the NNF of ``formula`` and of its negation, in one fold.
+
+    Literals become ``positive(x)`` and ``negative(x)``, conjunction and
+    disjunction ``conj`` and ``disj``; a negation swaps its child's pair.
+    """
+    return fold(
+        formula,
+        {
+            Var: lambda node: (positive(node), negative(node)),
+            Not: lambda node, child: (child[1], child[0]),
+            And: lambda node, a, b: (conj(a[0], b[0]), disj(a[1], b[1])),
+            Or: lambda node, a, b: (disj(a[0], b[0]), conj(a[1], b[1])),
+        },
+    )
+
+
 def nnf(formula: BoolFormula) -> BoolFormula:
     """Negation normal form: push negation onto variables, drop double ones.
 
     Equivalent over 0/1 and preserves the multiset of variable occurrences.
     """
-    match formula:
-        case Var():
-            return formula
-        case Not(Var()):
-            return formula
-        case Not(Not(inner)):
-            return nnf(inner)
-        case Not(And(left, right)):
-            return Or(nnf(Not(left)), nnf(Not(right)))
-        case Not(Or(left, right)):
-            return And(nnf(Not(left)), nnf(Not(right)))
-        case And(left, right):
-            return And(nnf(left), nnf(right))
-        case Or(left, right):
-            return Or(nnf(left), nnf(right))
-    raise TypeError(f"not a boolean formula: {formula!r}")
+    return _nnf_pairs(formula, lambda x: x, Not, And, Or)[0]
 
 
 def ddagger(formula: BoolFormula) -> LukFormula:
@@ -78,20 +81,13 @@ def ddagger(formula: BoolFormula) -> LukFormula:
     parameter e the value is exactly 1 when the boolean formula is satisfied
     and exactly e/(e+1) otherwise.
     """
-
-    def tr(node: BoolFormula) -> LukFormula:
-        match node:
-            case Var(i):
-                return Join(Neg(Var(i)), Oplus(Var(i), Var(i)))
-            case Not(Var(i)):
-                return Join(Var(i), Neg(Otimes(Var(i), Var(i))))
-            case And(left, right):
-                return Meet(tr(left), tr(right))
-            case Or(left, right):
-                return Join(tr(left), tr(right))
-        raise TypeError(f"not in negation normal form: {node!r}")
-
-    return tr(nnf(formula))
+    return _nnf_pairs(
+        formula,
+        lambda x: Join(Neg(x), Oplus(x, x)),
+        lambda x: Join(x, Neg(Otimes(x, x))),
+        Meet,
+        Join,
+    )[0]
 
 
 def grid_values(e: int) -> tuple[Fraction, Fraction]:
@@ -132,7 +128,7 @@ def constraint_formula(n: int, e: int) -> LukFormula:
         x = Var(t)
         return Join(iff(power(x, e), Neg(x)), iff(x, Neg(multiple(e, x))))
 
-    return fold(Meet, (unit(t) for t in range(1, n + 1)))
+    return reduce(Meet, (unit(t) for t in range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +261,15 @@ class ReductionOutput:
 
 
 def _rename(formula: BoolFormula, mapping: Mapping[int, int]) -> BoolFormula:
-    match formula:
-        case Var(index):
-            return Var(mapping[index])
-        case Not(child):
-            return Not(_rename(child, mapping))
-        case And(left, right):
-            return And(_rename(left, mapping), _rename(right, mapping))
-        case Or(left, right):
-            return Or(_rename(left, mapping), _rename(right, mapping))
-    raise TypeError(f"not a boolean formula: {formula!r}")
+    return fold(
+        formula,
+        {
+            Var: lambda node: Var(mapping[node.index]),
+            Not: lambda node, child: Not(child),
+            And: lambda node, left, right: And(left, right),
+            Or: lambda node, left, right: Or(left, right),
+        },
+    )
 
 
 def normalize_variables(instance: StableInstance) -> tuple[StableInstance, dict[int, int]]:
@@ -320,10 +315,10 @@ def consequent(instance: StableInstance, e: int) -> LukFormula:
     target_base = Join(Var(1), Neg(Var(1)))
 
     def group_formula(group: FormulaGroup) -> LukFormula:
-        block = fold(Otimes, (ddagger(f) for f in group.formulas))
+        block = reduce(Otimes, (ddagger(f) for f in group.formulas))
         return implies(block, power(target_base, group.delete_count + 1))
 
-    return fold(Join, (group_formula(g) for g in instance.groups))
+    return reduce(Join, (group_formula(g) for g in instance.groups))
 
 
 def reduce_instance(instance: StableInstance) -> ReductionOutput:

@@ -16,7 +16,7 @@ compute each subformula only on the axes of the variables it mentions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .formulas import (
     Or,
     Otimes,
     Var,
+    fold,
 )
 
 ZERO = Fraction(0)
@@ -60,18 +61,45 @@ def parse_rational01(text: str) -> Fraction:
     return value
 
 
-def valuation_from_json(doc: Mapping[str, str]) -> dict[int, Fraction]:
-    """Read {"X1": "2/3", ...} into a valuation."""
-    valuation: dict[int, Fraction] = {}
-    for name, literal in doc.items():
-        if not (name.startswith("X") and name[1:].isdigit() and name[1] != "0"):
-            raise ValueError(f"bad variable name {name!r}")
-        valuation[int(name[1:])] = parse_rational01(str(literal))
-    return valuation
-
-
 def valuation_to_json(valuation: Valuation) -> dict[str, str]:
     return {f"X{index}": str(valuation[index]) for index in sorted(valuation)}
+
+
+def _lookup(binding: Mapping[int, object]):
+    """Fold operation reading a variable's value from ``binding``."""
+
+    def value(node: Var):
+        try:
+            return binding[node.index]
+        except KeyError:
+            raise UnboundVariableError(node.index) from None
+
+    return value
+
+
+def _luk_connectives(top, lo, hi) -> dict:
+    """Fold operations of the Łukasiewicz connectives on values in [0, top].
+
+    ``lo`` and ``hi`` are the minimum and maximum: the builtins on exact
+    rationals with top 1, ``np.minimum``/``np.maximum`` on lattice
+    numerators with top L.
+    """
+    zero = top - top
+    return {
+        Neg: lambda node, a: top - a,
+        Oplus: lambda node, a, b: lo(top, a + b),
+        Otimes: lambda node, a, b: hi(zero, a + b - top),
+        Meet: lambda node, a, b: lo(a, b),
+        Join: lambda node, a, b: hi(a, b),
+    }
+
+
+_SCALAR_LUK = _luk_connectives(ONE, min, max)
+_BOOL = {
+    Not: lambda node, a: 1 - a,
+    And: lambda node, a, b: a & b,
+    Or: lambda node, a, b: a | b,
+}
 
 
 def eval_luk(formula: LukFormula, valuation: Valuation) -> Fraction:
@@ -79,45 +107,12 @@ def eval_luk(formula: LukFormula, valuation: Valuation) -> Fraction:
 
     The result's denominator divides the lcm of the input denominators.
     """
-    match formula:
-        case Var(index):
-            try:
-                return valuation[index]
-            except KeyError:
-                raise UnboundVariableError(index) from None
-        case Neg(child):
-            return 1 - eval_luk(child, valuation)
-        case Oplus(left, right):
-            return min(ONE, eval_luk(left, valuation) + eval_luk(right, valuation))
-        case Otimes(left, right):
-            return max(ZERO, eval_luk(left, valuation) + eval_luk(right, valuation) - 1)
-        case Meet(left, right):
-            return min(eval_luk(left, valuation), eval_luk(right, valuation))
-        case Join(left, right):
-            return max(eval_luk(left, valuation), eval_luk(right, valuation))
-    raise TypeError(f"not a many-valued formula: {formula!r}")
+    return fold(formula, {**_SCALAR_LUK, Var: _lookup(valuation)})
 
 
 def eval_bool(formula: BoolFormula, assignment: BoolAssignment) -> int:
     """Classical 0/1 truth value of a boolean formula."""
-    match formula:
-        case Var(index):
-            try:
-                return assignment[index]
-            except KeyError:
-                raise UnboundVariableError(index) from None
-        case Not(child):
-            return 1 - eval_bool(child, assignment)
-        case And(left, right):
-            return eval_bool(left, assignment) & eval_bool(right, assignment)
-        case Or(left, right):
-            return eval_bool(left, assignment) | eval_bool(right, assignment)
-    raise TypeError(f"not a boolean formula: {formula!r}")
-
-
-def satisfies(valuation: Valuation, formulas: Iterable[LukFormula]) -> bool:
-    """True iff every formula evaluates to exactly 1 (vacuously true)."""
-    return all(eval_luk(formula, valuation) == ONE for formula in formulas)
+    return fold(formula, {**_BOOL, Var: _lookup(assignment)})
 
 
 def lattice_axis(values, denominator: int) -> np.ndarray:
@@ -176,25 +171,6 @@ def eval_luk_lattice(
         )
     if not checked:
         numerators = [lattice_axis(values, L) for values in numerators]
-    columns = dict(zip(var_order, numerators))
-
-    def rec(node: LukFormula) -> np.ndarray:
-        match node:
-            case Var(index):
-                try:
-                    return columns[index]
-                except KeyError:
-                    raise UnboundVariableError(index) from None
-            case Neg(child):
-                return L - rec(child)
-            case Oplus(left, right):
-                return np.minimum(L, rec(left) + rec(right))
-            case Otimes(left, right):
-                return np.maximum(0, rec(left) + rec(right) - L)
-            case Meet(left, right):
-                return np.minimum(rec(left), rec(right))
-            case Join(left, right):
-                return np.maximum(rec(left), rec(right))
-        raise TypeError(f"not a many-valued formula: {node!r}")
-
-    return rec(formula)
+    table = _luk_connectives(L, np.minimum, np.maximum)
+    table[Var] = _lookup(dict(zip(var_order, numerators)))
+    return fold(formula, table)

@@ -4,7 +4,10 @@ Every check is exact (rational/integer arithmetic, zero tolerance); the
 randomized ones run on fixed seeds so the whole suite is reproducible.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
 import time
@@ -14,14 +17,19 @@ from fractions import Fraction
 import numpy as np
 
 from stablecons import (
+    And,
     FormulaGroup,
     HarnessLimits,
     Not,
+    Oplus,
+    Or,
     StableInstance,
     Var,
     Otimes,
     Join,
     Neg,
+    bool_to_text,
+    connective_count,
     constraint_formula,
     ddagger,
     denominator_bounded_fractions,
@@ -32,8 +40,12 @@ from stablecons import (
     find_countermodel,
     harness_trials,
     implies,
+    instance_to_json,
     lift_point,
+    luk_to_text,
     nnf,
+    parse_bool,
+    parse_luk,
     power,
     random_bool_formula,
     random_instance,
@@ -43,6 +55,7 @@ from stablecons import (
     variable_occurrences,
     variables,
 )
+from stablecons.cli import run
 
 COUNTERMODEL = "countermodel"
 CONSEQUENCE = "consequence"
@@ -319,3 +332,66 @@ def test_criterion_8_nnf_contract():
         for assignment in all_assignments(n):
             assert eval_bool(normal, assignment) == eval_bool(formula, assignment)
     report(8, "nnf contract", "1000 formulas, 0 failures")
+
+
+def test_criterion_9_deep_reduction(tmp_path):
+    """Reduce, print and evaluate at one point an instance with n = 5 000.
+
+    theta is a Meet chain of depth n and the group's block an Otimes chain
+    of depth n; nothing may recurse on them.  The complete grid check on the
+    same instance is a budget error (exit 3), not a value error.
+    """
+    n = 5000
+    formulas = tuple(Or(Var(i), Not(Var(i))) for i in range(1, n + 1))
+    instance = StableInstance(n, (FormulaGroup(formulas, 1),))
+    output = reduce_instance(instance)
+    theta_text = luk_to_text(output.theta)
+    phi_text = luk_to_text(output.phi)
+    assert theta_text.count(" /\\ ") == n - 1  # one per link of the Meet chain
+    point = lift_point({i: i % 2 for i in range(1, n + 1)}, output.e)
+    assert eval_luk(output.theta, point) == 1
+    # every formula is a tautology, so deleting one leaves a satisfiable set
+    assert eval_luk(output.phi, point) < 1
+
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(instance_to_json(instance)), encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = run(["check-consequence", str(path)])
+    assert code == 3
+    assert json.loads(stdout.getvalue())["error"]["kind"] == "budget_exceeded"
+    report(
+        9,
+        "deep reduction",
+        f"n = {n}, theta {len(theta_text)} chars, phi {len(phi_text)} chars",
+    )
+
+
+def test_criterion_10_deep_parsing():
+    """Parsing at nesting depth 10^5: negation chains and nested parentheses
+    in both languages, and an implication chain in the many-valued one."""
+    depth = 10**5
+    for parse, negation in ((parse_bool, Not), (parse_luk, Neg)):
+        chain = parse("~" * depth + "X1")
+        assert type(chain) is negation and connective_count(chain) == depth
+        assert parse("(" * depth + "X1" + ")" * depth) == Var(1)
+    assert eval_bool(parse_bool("~" * depth + "X1"), {1: 0}) == 0
+    arrows = parse_luk(" -> ".join(["X1"] * (depth + 1)))
+    assert connective_count(arrows) == 2 * depth  # b (+) ~a per arrow
+    assert eval_luk(arrows, {1: Fraction(1, 2)}) == 1
+    report(10, "deep parsing", f"depth {depth} for ~, ( ) and ->")
+
+
+def test_criterion_11_deep_round_trip():
+    """parse(print(f)) == f for right-nested chains of depth 10^4, which
+    print with one parenthesis pair per level."""
+    depth = 10**4
+    oplus, conjunction = Var(depth + 1), Var(depth + 1)
+    for i in range(depth, 0, -1):
+        oplus = Oplus(Var(i), oplus)
+        conjunction = And(Var(i), conjunction)
+    oplus_text = luk_to_text(oplus)
+    assert oplus_text.count("(X") == depth - 1
+    assert parse_luk(oplus_text) == oplus
+    assert parse_bool(bool_to_text(conjunction)) == conjunction
+    report(11, "deep round trip", f"depth {depth}, Oplus and And chains")

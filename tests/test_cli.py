@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import stablecons
+from stablecons import parse_rational01
 from stablecons.cli import run
 
 
@@ -148,6 +150,18 @@ class TestReduceCommand:
         code, doc = invoke_json(capsys, "reduce", instance_file(bad))
         assert code == 2
         assert doc["error"]["kind"] == "instance"
+
+    def test_duplicate_deep_formulas(self, capsys, instance_file):
+        # two separately parsed copies of a 1 100-literal conjunction, nested
+        # deeper than the interpreter's recursion limit
+        conjunction = " /\\ ".join(f"X{i % 7 + 1}" for i in range(1100))
+        bad = {"n": 7, "groups": [{"formulas": [conjunction] * 2, "delete": 0}]}
+        code, doc = invoke_json(capsys, "reduce", instance_file(bad))
+        assert code == 2
+        assert doc["error"] == {
+            "kind": "instance",
+            "message": "group formulas must be structurally distinct",
+        }
 
 
 class TestCheckStableCommand:
@@ -334,10 +348,11 @@ class TestDeterminism:
 
     def test_payload_reparses(self, capsys, instance_file):
         _, out, _ = invoke(capsys, "check-consequence", instance_file(LOOSENED))
-        from stablecons import valuation_from_json
-
-        witness = valuation_from_json(json.loads(out)["witness"])
-        assert witness == {1: __import__("fractions").Fraction(1, 3)}
+        witness = {
+            int(name[1:]): parse_rational01(literal)
+            for name, literal in json.loads(out)["witness"].items()
+        }
+        assert witness == {1: Fraction(1, 3)}
 
     def test_repeated_runs_match_fresh_processes(self, capsys, instance_file):
         # run() keeps one parser per process; reusing it after a success and

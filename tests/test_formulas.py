@@ -78,6 +78,38 @@ class TestParseBool:
             parse_bool("")
 
 
+# Malformed inputs whose message and offset the parser's stack logic must
+# keep: where a lattice-operator mix, a second <->, a many-valued connective
+# in boolean text and an unclosed parenthesis are reported.
+SYNTAX_ERRORS = [
+    pytest.param("luk", "(X1 /\\ X2 \\/ X3)", "mixing '/\\' and '\\/' needs parentheses", 10, id="mix-in-parens-luk"),
+    pytest.param("bool", "(X1 /\\ X2 \\/ X3)", "mixing '/\\' and '\\/' needs parentheses", 10, id="mix-in-parens-bool"),
+    pytest.param("luk", "X1 -> (X2 \\/ X3 /\\ X1)", "mixing '/\\' and '\\/' needs parentheses", 16, id="mix-after-implies"),
+    pytest.param("luk", "X1 <-> X2 <-> X3", "unexpected trailing input", 10, id="iff-chain-top"),
+    pytest.param("luk", "(X1 <-> X2 <-> X3)", "expected ')'", 11, id="iff-chain-in-parens"),
+    pytest.param("luk", "X1 <-> X2 -> X3", "unexpected trailing input", 10, id="implies-after-iff"),
+    pytest.param("luk", "(X1 -> X2 <-> X3 -> X1)", "expected ')'", 17, id="implies-after-nested-iff"),
+    pytest.param("bool", "(X1 (+) X2)", "expected ')'", 4, id="oplus-in-bool-parens"),
+    pytest.param("bool", "~(X1 -> X2)", "expected ')'", 5, id="implies-in-bool-parens"),
+    pytest.param("bool", "X1 (*) X2", "'(*)' is not a boolean connective", 3, id="otimes-in-bool"),
+    pytest.param("bool", "X1 /\\ X2 <-> X3", "'<->' is not a boolean connective", 9, id="iff-in-bool"),
+    pytest.param("bool", "(((X1", "expected ')'", 5, id="unclosed-depth-3-bool"),
+    pytest.param("luk", "(((X1 (*) X2", "expected ')'", 12, id="unclosed-depth-3-luk"),
+    pytest.param("luk", "(X1 (+) (X2 /\\ (X3)", "expected ')'", 19, id="unclosed-nested-luk"),
+    pytest.param("luk", "X1 (+)", "expected a variable, '~' or '('", 6, id="missing-operand"),
+    pytest.param("bool", "X1 X2", "unexpected trailing input", 3, id="two-operands"),
+]
+
+
+@pytest.mark.parametrize("language, text, message, offset", SYNTAX_ERRORS)
+def test_syntax_error_message_and_offset(language, text, message, offset):
+    parse = parse_bool if language == "bool" else parse_luk
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} (at offset {offset})"
+    assert info.value.offset == offset
+
+
 class TestParseLuk:
     def test_negation_binds_tighter_than_oplus(self):
         assert parse_luk("~X1 (+) X2") == Oplus(Neg(Var(1)), Var(2))
@@ -199,6 +231,28 @@ class TestPrinting:
         assert eval_luk(parse_luk(luk_to_text(formula)), point) == eval_luk(
             formula, point
         )
+
+
+class TestNodeEquality:
+    def test_equal_and_unequal_formulas(self):
+        assert parse_luk("X1 (+) ~X2") == Oplus(Var(1), Neg(Var(2)))
+        assert hash(parse_luk("X1 (+) ~X2")) == hash(Oplus(Var(1), Neg(Var(2))))
+        assert Oplus(Var(1), Neg(Var(2))) != Oplus(Var(1), Neg(Var(3)))
+        assert Oplus(Neg(Var(1)), Var(2)) != Oplus(Var(1), Neg(Var(2)))
+        assert And(Var(1), Var(2)) != Meet(Var(1), Var(2))
+        assert Var(1) != 1
+
+    def test_deep_formulas_compare_and_hash(self):
+        def chain():
+            node = Var(1)
+            for i in range(2, 5000):
+                node = And(node, Not(Var(i)))
+            return node
+
+        first, second = chain(), chain()
+        assert first is not second and first == second
+        assert len({first, second}) == 1
+        assert And(first, Var(1)) != And(second, Var(2))
 
 
 class TestWalkers:

@@ -27,7 +27,6 @@ from stablecons import (
     parse_luk,
     parse_rational01,
     power,
-    satisfies,
     variables,
 )
 from formula_strategies import bool_formulas, luk_formulas, valuations_over
@@ -179,15 +178,6 @@ class TestEvalBool:
             assert eval_bool(formula, assignment) == eval_luk(
                 embed(formula), as_fractions
             )
-
-
-class TestSatisfies:
-    def test_empty_set_vacuously_satisfied(self):
-        assert satisfies({}, [])
-
-    def test_exact_one_required(self):
-        assert satisfies({1: ONE}, [Var(1)])
-        assert not satisfies({1: Fraction(9999, 10000)}, [Var(1)])
 
 
 class TestParseRational:
