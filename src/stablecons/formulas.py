@@ -15,7 +15,8 @@ ASCII connective spellings, tightest-binding first::
     a -> b       input sugar for  b (+) ~a
     a <-> b      input sugar for  (a -> b) (*) (b -> a)
 
-Variables are spelled ``X1``, ``X2``, ...  Boolean formulas use only ``~``,
+Variables are spelled ``X1``, ``X2``, ... with ASCII digits and no leading
+zero.  Boolean formulas use only ``~``,
 ``/\\`` and ``\\/``.
 
 No walk over a formula recurses, so nesting depth is bounded only by memory.
@@ -23,20 +24,27 @@ No walk over a formula recurses, so nesting depth is bounded only by memory.
 post-order fold over that list: it takes a table from node type to an
 operation on the node and its children's results.  Evaluation, negation
 normal form, the many-valued translation, renaming and printing are each one
-such table.  Node equality and hashing compare the flat pre-order key of the
-nodes.  One stack-based precedence parser reads both languages; the boolean
-one is the connective table without ``(+)``, ``(*)``, ``->`` and ``<->``.
+such table.  Node equality, hashing and pickling use the flat pre-order key
+of the nodes, and ``repr`` writes the dataclass text from an explicit stack.
+One stack-based precedence parser reads both languages; the boolean one is
+the connective table without ``(+)``, ``(*)``, ``->`` and ``<->``.  It reads
+the tokens of one compiled regular expression.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Union
 
 
 class _Node:
-    """Structural equality and hashing over the flat pre-order key."""
+    """Structural equality, hashing, repr and pickling over flat records.
+
+    Each of them walks the tree with an explicit stack, so none recurses.
+    Nodes are immutable, so a copy is the node itself.
+    """
 
     __slots__ = ()
 
@@ -52,8 +60,36 @@ class _Node:
     def __hash__(self) -> int:
         return hash(tuple(self._key()))
 
+    def __repr__(self) -> str:
+        # the dataclass repr, e.g. "Neg(child=Var(index=1))", written from a
+        # stack of pending text pieces and nodes
+        parts: list[str] = []
+        stack: list[object] = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, _Node):
+                parts.append(item)
+                continue
+            pieces: list[object] = [f"{type(item).__qualname__}("]
+            for position, name in enumerate(item.__match_args__):
+                value = getattr(item, name)
+                pieces.append(f"{', ' if position else ''}{name}=")
+                pieces.append(value if isinstance(value, _Node) else repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(parts)
 
-@dataclass(frozen=True, slots=True, eq=False)
+    def __reduce__(self):
+        return _from_key, (self._key(),)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Var(_Node):
     """Propositional variable X_index; a leaf of both languages."""
 
@@ -64,47 +100,47 @@ class Var(_Node):
             raise ValueError(f"variable index must be >= 1, got {self.index}")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Not(_Node):
     child: "BoolFormula"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And(_Node):
     left: "BoolFormula"
     right: "BoolFormula"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Or(_Node):
     left: "BoolFormula"
     right: "BoolFormula"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Neg(_Node):
     child: "LukFormula"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Oplus(_Node):
     left: "LukFormula"
     right: "LukFormula"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Otimes(_Node):
     left: "LukFormula"
     right: "LukFormula"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Meet(_Node):
     left: "LukFormula"
     right: "LukFormula"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Join(_Node):
     left: "LukFormula"
     right: "LukFormula"
@@ -169,6 +205,20 @@ def _nodes(formula: Formula) -> list[Formula]:
         elif arity == 1:
             stack.append(node.child)
     return nodes
+
+
+def _from_key(key: list) -> Formula:
+    """Rebuild a formula from its ``_Node._key`` record (used by pickle)."""
+    built: list[Formula] = []
+    for item in reversed(key):  # post-order, left child first
+        if type(item) is int:
+            built.append(Var(item))
+        elif _ARITY[item] == 1:
+            built[-1] = item(built[-1])
+        else:
+            right = built.pop()
+            built[-1] = item(built[-1], right)
+    return built[0]
 
 
 def fold(formula: Formula, table: Mapping[type, Callable[..., Any]]) -> Any:
@@ -302,57 +352,43 @@ class FormulaSyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    offset: int
-    index: int = 0
-
-
-_SYMBOLS = (  # longest spelling first
-    ("(+)", "oplus"),
-    ("(*)", "otimes"),
-    ("<->", "iff"),
-    ("->", "implies"),
-    ("/\\", "and"),
-    ("\\/", "or"),
-    ("~", "not"),
-    ("(", "lparen"),
-    (")", "rparen"),
+# One token per match, after optional whitespace; the longer spellings come
+# first so "(+)" is not read as "(".  Variable digits are ASCII only.  When no
+# token follows the whitespace, the match is empty and ``lastgroup`` is None.
+_TOKEN = re.compile(
+    r"""[ \t\r\n]*
+    (?:
+        (?P<var>X(?P<index>[1-9][0-9]*)?)
+      | (?P<oplus>\(\+\)) | (?P<otimes>\(\*\)) | (?P<iff><->) | (?P<implies>->)
+      | (?P<and>/\\) | (?P<or>\\/) | (?P<not>~) | (?P<lparen>\() | (?P<rparen>\))
+    )?""",
+    re.VERBOSE,
 )
 
 _LUK_ONLY = {"oplus": "(+)", "otimes": "(*)", "implies": "->", "iff": "<->"}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == "X":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            digits = text[i + 1 : j]
-            if not digits or digits[0] == "0":
-                raise FormulaSyntaxError(
-                    "variable index must be a digit sequence starting 1-9", i
-                )
-            tokens.append(_Token("var", i, int(digits)))
-            i = j
-            continue
-        for spelling, kind in _SYMBOLS:
-            if text.startswith(spelling, i):
-                tokens.append(_Token(kind, i))
-                i += len(spelling)
-                break
-        else:
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", n))
+def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    """(kind, offset, variable index or 0) of each token, then an end token."""
+    tokens: list[tuple[str, int, int]] = []
+    match = _TOKEN.match
+    position = 0
+    while True:
+        found = match(text, position)
+        kind = found.lastgroup
+        position = found.end()
+        if kind is None:
+            break
+        offset = found.start(kind)
+        index = found["index"]
+        if kind == "var" and index is None:
+            raise FormulaSyntaxError(
+                "variable index must be a digit sequence starting 1-9", offset
+            )
+        tokens.append((kind, offset, int(index or 0)))
+    if position < len(text):
+        raise FormulaSyntaxError(f"unexpected character {text[position]!r}", position)
+    tokens.append(("end", len(text), 0))
     return tokens
 
 
@@ -395,30 +431,29 @@ def _parse(
 
     position = 0
     while True:
-        token = tokens[position]
-        while token.kind in ("not", "lparen"):
-            pending.append(token.kind)
+        kind, offset, index = tokens[position]
+        while kind in ("not", "lparen"):
+            pending.append(kind)
             position += 1
-            token = tokens[position]
-        if token.kind != "var":
-            raise FormulaSyntaxError("expected a variable, '~' or '('", token.offset)
-        operands.append(Var(token.index))
+            kind, offset, index = tokens[position]
+        if kind != "var":
+            raise FormulaSyntaxError("expected a variable, '~' or '('", offset)
+        operands.append(Var(index))
         position += 1
         # an operand is complete: look for the connective that continues it
         while True:
             while pending and pending[-1] == "not":
                 pending.pop()
                 operands[-1] = negation(operands[-1])
-            token = tokens[position]
+            kind, offset, _ = tokens[position]
             position += 1
-            kind = token.kind
             if kind in connectives:
                 level = _PRECEDENCE[kind]
                 apply(level + 1)
                 top = pending[-1] if pending else None
                 if level == _LATTICE and top in ("and", "or") and top != kind:
                     raise FormulaSyntaxError(
-                        "mixing '/\\' and '\\/' needs parentheses", token.offset
+                        "mixing '/\\' and '\\/' needs parentheses", offset
                     )
                 if not (level == 0 and top == "iff"):  # <-> does not chain
                     if level:  # left-associative
@@ -433,11 +468,11 @@ def _parse(
                     return operands[0]
                 if kind in _LUK_ONLY and kind not in connectives:
                     raise FormulaSyntaxError(
-                        f"'{_LUK_ONLY[kind]}' is not a boolean connective", token.offset
+                        f"'{_LUK_ONLY[kind]}' is not a boolean connective", offset
                     )
-                raise FormulaSyntaxError("unexpected trailing input", token.offset)
+                raise FormulaSyntaxError("unexpected trailing input", offset)
             if kind != "rparen":
-                raise FormulaSyntaxError("expected ')'", token.offset)
+                raise FormulaSyntaxError("expected ')'", offset)
             pending.pop()
 
 

@@ -5,16 +5,22 @@ comparisons (in particular "equals 1") are exact; there is no floating point
 anywhere.  Valuations are finite maps from variable indices to values over a
 declared variable set.
 
-Besides the scalar reference evaluator there is a batch evaluator over the
-integer lattice {0, 1/L, ..., L/L}: truncated addition and its dual, min, max
-and complement all stay on the lattice, so scaled integer arithmetic is exact
-and enumeration-heavy searches can be vectorized.  It takes one broadcastable
-array per variable, so a search can lay its points out as a grid of axes and
-compute each subformula only on the axes of the variables it mentions.
+Every Łukasiewicz connective is positively homogeneous: scaling all inputs
+and the top value 1 by D > 0 scales the result by D.  Both evaluators use
+this and compute on integer numerators.  The scalar reference evaluator
+takes D, the lcm of the valuation's denominators, folds Python ints (which
+have no size cap) and returns the result as a ``Fraction`` over D.  The
+batch evaluator works on the integer lattice {0, 1/L, ..., L/L}: truncated
+addition and its dual, min, max and complement all stay on the lattice, so
+int64 arithmetic is exact and enumeration-heavy searches can be vectorized.
+It takes one broadcastable array per variable, so a search can lay its
+points out as a grid of axes and compute each subformula only on the axes
+of the variables it mentions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -80,8 +86,8 @@ def _lookup(binding: Mapping[int, object]):
 def _luk_connectives(top, lo, hi) -> dict:
     """Fold operations of the Łukasiewicz connectives on values in [0, top].
 
-    ``lo`` and ``hi`` are the minimum and maximum: the builtins on exact
-    rationals with top 1, ``np.minimum``/``np.maximum`` on lattice
+    ``lo`` and ``hi`` are the minimum and maximum: the builtins on Python-int
+    numerators with top D, ``np.minimum``/``np.maximum`` on lattice
     numerators with top L.
     """
     zero = top - top
@@ -94,7 +100,6 @@ def _luk_connectives(top, lo, hi) -> dict:
     }
 
 
-_SCALAR_LUK = _luk_connectives(ONE, min, max)
 _BOOL = {
     Not: lambda node, a: 1 - a,
     And: lambda node, a, b: a & b,
@@ -105,9 +110,19 @@ _BOOL = {
 def eval_luk(formula: LukFormula, valuation: Valuation) -> Fraction:
     """Value of a many-valued formula at a point, as an exact rational.
 
-    The result's denominator divides the lcm of the input denominators.
+    The valuation's values are scaled to integer numerators over D, the lcm
+    of their denominators, and the formula is folded over those Python ints
+    with top value D, so no intermediate ``Fraction`` is built.  The result
+    is that numerator over D, so its denominator divides D.
     """
-    return fold(formula, {**_SCALAR_LUK, Var: _lookup(valuation)})
+    D = math.lcm(*(value.denominator for value in valuation.values()))
+    scaled = {
+        index: value.numerator * (D // value.denominator)
+        for index, value in valuation.items()
+    }
+    table = _luk_connectives(D, min, max)
+    table[Var] = _lookup(scaled)
+    return Fraction(fold(formula, table), D)
 
 
 def eval_bool(formula: BoolFormula, assignment: BoolAssignment) -> int:

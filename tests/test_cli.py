@@ -60,6 +60,15 @@ class TestParseCommand:
         assert doc["error"]["kind"] == "syntax"
         assert doc["error"]["offset"] == 3
 
+    def test_non_ascii_digit_is_a_syntax_error(self, capsys):
+        code, doc = invoke_json(capsys, "parse", "--bool", "X\u00b2")
+        assert code == 2
+        assert doc["error"] == {
+            "kind": "syntax",
+            "message": "variable index must be a digit sequence starting 1-9 (at offset 0)",
+            "offset": 0,
+        }
+
     def test_requires_exactly_one_language(self, capsys):
         code, doc = invoke_json(capsys, "parse", "--bool", "X1", "--luk", "X1")
         assert code == 2
@@ -176,6 +185,16 @@ class TestCheckStableCommand:
         assert doc["stable"] is False
         assert doc["counterexample"]["deleted"] == [[0]]
         assert doc["counterexample"]["assignment"] == {"X1": 0}
+
+    def test_non_ascii_digit_is_an_instance_error(self, capsys, instance_file):
+        bad = {"n": 1, "groups": [{"formulas": ["X1", "~X\u00b2"], "delete": 0}]}
+        code, doc = invoke_json(capsys, "check-stable", instance_file(bad))
+        assert code == 2
+        assert doc["error"] == {
+            "kind": "instance",
+            "message": "groups[0].formulas[1]: "
+            "variable index must be a digit sequence starting 1-9 (at offset 1)",
+        }
 
     def test_budget_exceeded_exits_three(self, capsys, instance_file):
         code, doc = invoke_json(

@@ -284,6 +284,29 @@ class TestFindCountermodel:
         assert kinds == {COUNTERMODEL, INCONCLUSIVE}
 
 
+class TestWitnessReverification:
+    """A scan hit that is not a countermodel is an error, never a verdict."""
+
+    # numerators over L = e + 1 = 3: a grid point where phi = 1 (the instance
+    # is stable), and (2/3, 0), off the grid, where phi < 1 but theta = 0
+    @pytest.mark.parametrize(
+        "n, formulas, hit", [(1, ("X1", "~X1"), (1,)), (2, ("X1 /\\ X2",), (2, 0))]
+    )
+    def test_grid_check(self, monkeypatch, n, formulas, hit):
+        output = reduce_instance(instance_of(n, (formulas, 0)))
+        monkeypatch.setattr(stablecons.decision, "_scan", lambda *args: hit)
+        with pytest.raises(RuntimeError, match="evaluators disagree"):
+            check_consequence_rho(output)
+
+    # numerators over L = lcm(1, 2, 3) = 6: X1 = 1 makes theta and phi 1;
+    # X1 = 0 makes phi < 1 but theta 0
+    @pytest.mark.parametrize("phi, hit", [("X1", (6,)), ("X1 (*) X1", (0,))])
+    def test_pair_scan(self, monkeypatch, phi, hit):
+        monkeypatch.setattr(stablecons.decision, "_scan", lambda *args: hit)
+        with pytest.raises(RuntimeError, match="evaluators disagree"):
+            find_countermodel(parse_luk("X1"), parse_luk(phi), 3)
+
+
 def scan_schedule(first, largest):
     """Run the scan with other chunk sizes: small ones put leading
     (scalar-bound) variables and aligned slabs into small lattices."""

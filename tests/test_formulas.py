@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -80,7 +83,8 @@ class TestParseBool:
 
 # Malformed inputs whose message and offset the parser's stack logic must
 # keep: where a lattice-operator mix, a second <->, a many-valued connective
-# in boolean text and an unclosed parenthesis are reported.
+# in boolean text and an unclosed parenthesis are reported.  Variable indices
+# are ASCII digits only: other Unicode digits are syntax errors.
 SYNTAX_ERRORS = [
     pytest.param("luk", "(X1 /\\ X2 \\/ X3)", "mixing '/\\' and '\\/' needs parentheses", 10, id="mix-in-parens-luk"),
     pytest.param("bool", "(X1 /\\ X2 \\/ X3)", "mixing '/\\' and '\\/' needs parentheses", 10, id="mix-in-parens-bool"),
@@ -98,6 +102,9 @@ SYNTAX_ERRORS = [
     pytest.param("luk", "(X1 (+) (X2 /\\ (X3)", "expected ')'", 19, id="unclosed-nested-luk"),
     pytest.param("luk", "X1 (+)", "expected a variable, '~' or '('", 6, id="missing-operand"),
     pytest.param("bool", "X1 X2", "unexpected trailing input", 3, id="two-operands"),
+    pytest.param("bool", "X\u00b2", "variable index must be a digit sequence starting 1-9", 0, id="superscript-index"),
+    pytest.param("luk", "X\u0663", "variable index must be a digit sequence starting 1-9", 0, id="arabic-indic-index"),
+    pytest.param("luk", "X1\u00b2", "unexpected character '\u00b2'", 2, id="superscript-after-index"),
 ]
 
 
@@ -253,6 +260,43 @@ class TestNodeEquality:
         assert first is not second and first == second
         assert len({first, second}) == 1
         assert And(first, Var(1)) != And(second, Var(2))
+
+
+def dataclass_repr(node):
+    """The text a recursive dataclass-generated ``__repr__`` gives."""
+    fields = ", ".join(
+        f"{field.name}={dataclass_repr(value) if dataclasses.is_dataclass(value) else repr(value)}"
+        for field in dataclasses.fields(node)
+        for value in [getattr(node, field.name)]
+    )
+    return f"{type(node).__qualname__}({fields})"
+
+
+class TestNodeProtocols:
+    def test_repr_text(self):
+        assert repr(parse_luk("X1 (+) ~X2")) == (
+            "Oplus(left=Var(index=1), right=Neg(child=Var(index=2)))"
+        )
+
+    @given(st.one_of(luk_formulas(), bool_formulas()))
+    def test_repr_matches_dataclass_repr(self, formula):
+        assert repr(formula) == dataclass_repr(formula)
+
+    @given(st.one_of(luk_formulas(), bool_formulas()))
+    def test_pickle_and_copies_round_trip(self, formula):
+        restored = pickle.loads(pickle.dumps(formula))
+        assert type(restored) is type(formula) and restored == formula
+        assert copy.copy(formula) is formula
+        assert copy.deepcopy([formula])[0] is formula
+
+    @pytest.mark.parametrize("depth", [3_000, 100_000])
+    @pytest.mark.parametrize("parse", [parse_luk, parse_bool])
+    def test_deep_formulas(self, parse, depth):
+        formula = parse("~" * depth + "X1")
+        negation = type(formula).__qualname__
+        assert repr(formula) == f"{negation}(child=" * depth + "Var(index=1)" + ")" * depth
+        assert pickle.loads(pickle.dumps(formula)) == formula
+        assert copy.deepcopy(formula) is formula
 
 
 class TestWalkers:

@@ -29,6 +29,7 @@ from stablecons import (
     power,
     variables,
 )
+from stablecons.formulas import fold
 from formula_strategies import bool_formulas, luk_formulas, valuations_over
 
 ONE = Fraction(1)
@@ -74,6 +75,31 @@ def primitive_value(formula, point):
     raise TypeError(formula)
 
 
+# the reference evaluator: the connectives folded directly over Fractions,
+# one normalized Fraction per node
+FRACTION_LUK = {
+    Neg: lambda node, a: ONE - a,
+    Oplus: lambda node, a, b: min(ONE, a + b),
+    Otimes: lambda node, a, b: max(Fraction(0), a + b - ONE),
+    Meet: lambda node, a, b: min(a, b),
+    Join: lambda node, a, b: max(a, b),
+}
+
+
+def fraction_eval(formula, valuation):
+    return fold(formula, {**FRACTION_LUK, Var: lambda node: valuation[node.index]})
+
+
+# the ints 0 and 1, small denominators, and denominators above 2**64
+mixed_values = st.one_of(
+    st.sampled_from([0, 1]),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.integers(2**64 + 1, 2**72).flatmap(
+        lambda q: st.integers(0, q).map(lambda p: Fraction(p, q))
+    ),
+)
+
+
 class TestEvalLuk:
     def test_truncated_addition_saturates(self):
         assert eval_luk(parse_luk("X1 (+) X1"), {1: Fraction(2, 3)}) == 1
@@ -91,6 +117,21 @@ class TestEvalLuk:
     def test_unbound_variable_is_named(self):
         with pytest.raises(UnboundVariableError, match="X3"):
             eval_luk(Var(3), {1: ONE})
+
+    @given(luk_formulas(), st.data())
+    def test_agrees_with_the_fraction_fold(self, formula, data):
+        used = sorted(variables(formula))
+        point = data.draw(st.fixed_dictionaries({i: mixed_values for i in used}))
+        # values of variables the formula does not use
+        point |= data.draw(st.dictionaries(st.integers(5, 9), mixed_values, max_size=3))
+        value = eval_luk(formula, point)
+        assert type(value) is Fraction
+        assert value == fraction_eval(formula, point)
+        missing = data.draw(st.sampled_from(used))
+        del point[missing]
+        with pytest.raises(UnboundVariableError, match=f"X{missing} ") as info:
+            eval_luk(formula, point)
+        assert info.value.index == missing
 
     def test_result_denominator_divides_input_lcm(self):
         formula = parse_luk("X1 (*) X2 (+) ~X1")
