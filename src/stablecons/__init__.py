@@ -25,7 +25,6 @@ from .decision import (
     harness_trials,
     random_bool_formula,
     random_instance,
-    random_luk_formula,
     stable_bruteforce,
 )
 from .formulas import (

@@ -14,13 +14,17 @@
 Both consequence checks run on one exact lattice scan, ``_scan``.  Their
 points have coordinates k/L for a fixed L (e+1 on the grid, the lcm of
 1..max_denominator in pair mode), so the scan evaluates the formulas on
-integer numerators with ``eval_luk_lattice``; L must stay below 2**62, which
-admits max_denominator <= 42.  Each chunk is a slab: the leading variables
-are fixed to scalars, one variable runs over a stretch of the axis and the
+integer numerators with ``eval_luk_lattice``, in the narrowest integer dtype
+that holds every intermediate value in [-L, 2L] (int8 on every grid with
+e <= 62); L must stay below 2**62, which admits max_denominator <= 42.  Each
+formula is compiled once per scan into a straight-line program that computes
+each distinct subterm once.  Each chunk is a slab: the leading variables are
+fixed to scalars, one variable runs over a stretch of the axis and the
 trailing ones over the whole axis, each on its own broadcast dimension, so a
 subformula is computed only on the axes of the variables it mentions.  In
 pair mode the antecedent is evaluated on the slab first and the consequent
-only where the antecedent is 1.  Chunks start at 64 points and grow four-fold,
+only where the antecedent is 1.  A scan of at most ``_WHOLE_SCAN`` points is
+one slab.  A larger one starts with chunks of 64 points that grow four-fold,
 each rescanning from the first point, up to ``_SCAN_CHUNK`` points; aligned
 slabs of at most that size follow.  The first hit in the slab's C order is
 the first in the scan order; it is decoded into a ``Fraction`` witness and
@@ -46,13 +50,8 @@ from .formulas import (
     And,
     BoolFormula,
     LukFormula,
-    Neg,
     Not,
-    Oplus,
     Or,
-    Otimes,
-    Join,
-    Meet,
     Var,
     connective_count,
     variables,
@@ -66,6 +65,8 @@ from .reduction import (
 )
 from .semantics import (
     ONE,
+    LukProgram,
+    compile_luk,
     eval_bool,
     eval_luk,
     eval_luk_lattice,
@@ -288,6 +289,7 @@ def find_countermodel(
     return _countermodel(theta, phi, var_order, row, L)
 
 
+_WHOLE_SCAN = 1 << 12
 _FIRST_CHUNK = 64
 _SCAN_CHUNK = 1 << 16
 
@@ -304,32 +306,41 @@ def _scan(
     Every coordinate of a point is an entry of ``axis``, a numerator over L,
     one coordinate per variable of ``var_order``.  Points are scanned in
     lexicographic order of their axis positions, the last variable varying
-    fastest.  ``L`` and the axis are checked once, by ``lattice_axis``.
+    fastest.  ``L`` and the axis are checked once, by ``lattice_axis``, which
+    also fixes the dtype of every slab; theta and phi are compiled once.
 
     The scan runs over rectangles of that order (see ``_scan_rectangle``).
-    While chunks grow (64 points, then four-fold up to ``_SCAN_CHUNK``), each
-    one is the largest rectangle of the target size that starts at point 0,
-    so it rescans its predecessors: an early hit stays cheap, and a
-    rectangle cannot start where a four-fold larger one ended.  After that
-    come aligned slabs of up to ``_SCAN_CHUNK`` points in order.  Returns the
-    first hit's numerators, or None.
+    When all base^m points number at most ``_WHOLE_SCAN``, they are one
+    rectangle, scanned in one call.  Otherwise, while chunks grow (64 points,
+    then four-fold up to ``_SCAN_CHUNK``), each one is the largest rectangle
+    of the target size that starts at point 0, so it rescans its
+    predecessors: an early hit stays cheap, and a rectangle cannot start
+    where a four-fold larger one ended.  After that come aligned slabs of up
+    to ``_SCAN_CHUNK`` points in order.  Returns the first hit's numerators,
+    or None.
     """
     values = lattice_axis(axis, L)
+    theta_program = None if theta is None else compile_luk(theta)
+    phi_program = compile_luk(phi)
     base, m = len(values), len(var_order)
     k, width = _rectangle(_SCAN_CHUNK, base, m)
-    size = _FIRST_CHUNK
+    size = base**m if base**m <= _WHOLE_SCAN else _FIRST_CHUNK
     while True:
         grow_k, grow_width = _rectangle(size, base, m)
         if grow_width * base**grow_k >= width * base**k:  # the first slab
             break
-        hit = _scan_rectangle(theta, phi, var_order, values, L, 0, 0, grow_width, grow_k)
+        hit = _scan_rectangle(
+            theta_program, phi_program, var_order, values, L, 0, 0, grow_width, grow_k
+        )
         if hit is not None:
             return hit
         size *= 4
     for lead in range(base ** (m - k - 1)):
         for low in range(0, base, width):
             high = min(low + width, base)
-            hit = _scan_rectangle(theta, phi, var_order, values, L, lead, low, high, k)
+            hit = _scan_rectangle(
+                theta_program, phi_program, var_order, values, L, lead, low, high, k
+            )
             if hit is not None:
                 return hit
     return None
@@ -348,8 +359,8 @@ def _rectangle(points: int, base: int, m: int) -> tuple[int, int]:
 
 
 def _scan_rectangle(
-    theta: LukFormula | None,
-    phi: LukFormula,
+    theta: LukProgram | None,
+    phi: LukProgram,
     var_order: Sequence[int],
     values: np.ndarray,
     L: int,
@@ -361,37 +372,40 @@ def _scan_rectangle(
     """First hit among the points of one rectangle, as one broadcast slab.
 
     The leading m-k-1 coordinates are fixed to the axis entries at the
-    base-len(values) digits of ``lead`` and bound as scalars (``lead`` is a
-    Python int, so it stays exact past 2**63).  The slab variable runs over
-    axis positions low..high-1 and each of the last k variables over the
-    whole axis, each on its own broadcast dimension, so the slab's C order
-    is the scan order.  With theta given, theta is evaluated on the slab and
-    phi only on the points where theta = L, gathered in C order by
-    ``np.nonzero``.
+    base-len(values) digits of ``lead`` and bound as scalars of the axis
+    dtype (``lead`` is a Python int, so it stays exact past 2**63).  The slab
+    variable runs over axis positions low..high-1 and each of the last k
+    variables over the whole axis, each on its own broadcast dimension, so
+    the slab's C order is the scan order.  With theta given, theta is
+    evaluated on the slab and phi only on the points where theta = L,
+    gathered in C order by ``np.nonzero``.
     """
     base, m = len(values), len(var_order)
     fixed = []
     for _ in range(m - k - 1):
         lead, digit = divmod(lead, base)
-        fixed.append(int(values[digit]))
+        fixed.append(values[digit])
     fixed.reverse()
+    top = values.dtype.type(L)
     shape = (high - low,) + (base,) * k
     axes = [values[low:high].reshape(shape[:1] + (1,) * k)]
     axes += [values.reshape((base,) + (1,) * (k - 1 - t)) for t in range(k)]
     if theta is not None:
-        value = eval_luk_lattice(theta, var_order, fixed + axes, L, checked=True)
-        models = np.nonzero(np.broadcast_to(value == L, shape))
-        if not models[0].size:
+        value = eval_luk_lattice(theta, var_order, fixed + axes, L)
+        models = np.broadcast_to(value == top, shape)
+        if not models.any():  # cheaper than an empty np.nonzero
             return None
+        models = np.nonzero(models)
         axes = [values[low + models[0]]] + [values[p] for p in models[1:]]
         shape = models[0].shape
-    value = eval_luk_lattice(phi, var_order, fixed + axes, L, checked=True)
-    misses = np.broadcast_to(value < L, shape)
+    value = eval_luk_lattice(phi, var_order, fixed + axes, L)
+    misses = np.broadcast_to(value < top, shape)
     first = int(misses.argmax())
     if not misses.flat[first]:
         return None
     index = np.unravel_index(first, shape)
-    return tuple(fixed) + tuple(int(np.broadcast_to(a, shape)[index]) for a in axes)
+    hit = fixed + [np.broadcast_to(a, shape)[index] for a in axes]
+    return tuple(int(value) for value in hit)
 
 
 def _countermodel(
@@ -444,21 +458,6 @@ def random_bool_formula(
     left = random_bool_formula(rng, n_vars, split)
     right = random_bool_formula(rng, n_vars, max_connectives - 1 - split)
     return And(left, right) if kind == "and" else Or(left, right)
-
-
-def random_luk_formula(
-    rng: random.Random, n_vars: int, max_connectives: int
-) -> LukFormula:
-    if max_connectives <= 0 or rng.random() < 0.3:
-        return Var(rng.randint(1, n_vars))
-    kind = rng.choice(("neg", "oplus", "otimes", "meet", "join"))
-    if kind == "neg":
-        return Neg(random_luk_formula(rng, n_vars, max_connectives - 1))
-    split = rng.randint(0, max_connectives - 1)
-    left = random_luk_formula(rng, n_vars, split)
-    right = random_luk_formula(rng, n_vars, max_connectives - 1 - split)
-    node = {"oplus": Oplus, "otimes": Otimes, "meet": Meet, "join": Join}[kind]
-    return node(left, right)
 
 
 def random_instance(rng: random.Random, limits: HarnessLimits) -> StableInstance:

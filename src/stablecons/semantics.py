@@ -9,18 +9,23 @@ Every Łukasiewicz connective is positively homogeneous: scaling all inputs
 and the top value 1 by D > 0 scales the result by D.  Both evaluators use
 this and compute on integer numerators.  The scalar reference evaluator
 takes D, the lcm of the valuation's denominators, folds Python ints (which
-have no size cap) and returns the result as a ``Fraction`` over D.  The
-batch evaluator works on the integer lattice {0, 1/L, ..., L/L}: truncated
-addition and its dual, min, max and complement all stay on the lattice, so
-int64 arithmetic is exact and enumeration-heavy searches can be vectorized.
-It takes one broadcastable array per variable, so a search can lay its
-points out as a grid of axes and compute each subformula only on the axes
-of the variables it mentions.
+have no size cap) over the formula tree and returns the result as a
+``Fraction`` over D.  The batch evaluator works on the integer lattice
+{0, 1/L, ..., L/L}: truncated addition and its dual, min, max and complement
+all stay on the lattice and every intermediate value lies in [-L, 2L], so
+fixed-width integer arithmetic is exact in the narrowest signed dtype that
+holds 2L (int8 up to L = 63, int16, int32, then int64 up to L < 2**62), and
+enumeration-heavy searches can be vectorized.  It runs a formula compiled by
+``compile_luk`` into a straight-line program with one instruction per
+distinct subterm, and takes one broadcastable array per variable, so a
+search can lay its points out as a grid of axes and compute each subformula
+only on the axes of the variables it mentions.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -38,6 +43,7 @@ from .formulas import (
     Or,
     Otimes,
     Var,
+    _nodes,
     fold,
 )
 
@@ -83,20 +89,27 @@ def _lookup(binding: Mapping[int, object]):
     return value
 
 
-def _luk_connectives(top, lo, hi) -> dict:
-    """Fold operations of the Łukasiewicz connectives on values in [0, top].
+def _lattice_connectives(top) -> dict:
+    """The connectives on arrays of numerators in [0, top], as ufunc calls.
 
-    ``lo`` and ``hi`` are the minimum and maximum: the builtins on Python-int
-    numerators with top D, ``np.minimum``/``np.maximum`` on lattice
-    numerators with top L.
+    min(top, a + b) is computed as a + min(b, top - a), and
+    max(0, a + b - top) as a - min(a, top - b): NumPy's minimum of an array
+    and a scalar is several times slower than that of two arrays, while
+    subtraction from a scalar is not.  Every intermediate value of these
+    forms lies in [0, top].
     """
-    zero = top - top
+
+    def oplus(a, b):
+        total = np.minimum(b, top - a)
+        total += a  # in place: the minimum is a new array (or a scalar)
+        return total
+
     return {
-        Neg: lambda node, a: top - a,
-        Oplus: lambda node, a, b: lo(top, a + b),
-        Otimes: lambda node, a, b: hi(zero, a + b - top),
-        Meet: lambda node, a, b: lo(a, b),
-        Join: lambda node, a, b: hi(a, b),
+        Neg: lambda a: top - a,
+        Oplus: oplus,
+        Otimes: lambda a, b: a - np.minimum(a, top - b),
+        Meet: np.minimum,
+        Join: np.maximum,
     }
 
 
@@ -120,8 +133,14 @@ def eval_luk(formula: LukFormula, valuation: Valuation) -> Fraction:
         index: value.numerator * (D // value.denominator)
         for index, value in valuation.items()
     }
-    table = _luk_connectives(D, min, max)
-    table[Var] = _lookup(scaled)
+    table = {
+        Var: _lookup(scaled),
+        Neg: lambda node, a: D - a,
+        Oplus: lambda node, a, b: min(D, a + b),
+        Otimes: lambda node, a, b: max(0, a + b - D),
+        Meet: lambda node, a, b: min(a, b),
+        Join: lambda node, a, b: max(a, b),
+    }
     return Fraction(fold(formula, table), D)
 
 
@@ -130,51 +149,131 @@ def eval_bool(formula: BoolFormula, assignment: BoolAssignment) -> int:
     return fold(formula, {**_BOOL, Var: _lookup(assignment)})
 
 
-def lattice_axis(values, denominator: int) -> np.ndarray:
-    """``values`` as int64 numerators over ``denominator``, checked.
+# each dtype with the largest L for which it holds [-L, 2L]
+_LATTICE_DTYPES = [
+    (np.iinfo(dtype).max // 2, np.dtype(dtype))
+    for dtype in (np.int8, np.int16, np.int32, np.int64)
+]
 
-    The denominator must satisfy 1 <= L < 2**62: every intermediate value of
-    ``eval_luk_lattice`` lies in [-L, 2L], so this is the bound under which
-    int64 arithmetic stays exact.  It is checked before any value is
-    converted, so an oversized lattice is a ``ValueError``, never an
-    overflow.  Every value must lie in [0, L].
+
+def _lattice_dtype(denominator: int) -> np.dtype:
+    """The narrowest signed integer dtype holding every value in [-L, 2L].
+
+    Every intermediate value of the connectives over L = ``denominator``
+    lies there, in their textbook forms min(L, a + b) and max(0, a + b - L)
+    and in the forms of ``_lattice_connectives`` alike, so arithmetic in
+    this dtype is exact.  L must satisfy 1 <= L < 2**62, the bound for int64.
     """
     L = int(denominator)
     if L < 1:
         raise ValueError(f"denominator must be >= 1, got {L}")
-    if L >= 2**62:
-        raise ValueError(f"denominator {L} too large for int64 lattice arithmetic")
-    try:
-        arr = np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("lattice coordinates must lie in [0, denominator]") from None
-    if arr.size and (arr.min() < 0 or arr.max() > L):
+    for largest, dtype in _LATTICE_DTYPES:
+        if L <= largest:
+            return dtype
+    raise ValueError(f"denominator {L} too large for int64 lattice arithmetic")
+
+
+def lattice_axis(values, denominator: int) -> np.ndarray:
+    """``values`` as numerators over ``denominator``, checked, in its dtype.
+
+    The denominator L fixes the dtype (``_lattice_dtype``: int8 for L <= 63,
+    int16 for L <= 16 383, int32 for L < 2**30, int64 below 2**62), in which
+    ``eval_luk_lattice`` stays exact.  L is checked before any value is
+    converted, so an oversized lattice is a ``ValueError``, never an
+    overflow.  Every value must lie in [0, L].
+    """
+    L = int(denominator)
+    dtype = _lattice_dtype(L)
+    arr = np.asarray(values)
+    if arr.dtype != dtype:
+        try:
+            arr = np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("lattice coordinates must lie in [0, denominator]") from None
+    # read as unsigned, a negative value exceeds every L: one reduction
+    if arr.size and arr.view(f"u{arr.itemsize}").max() > L:
         raise ValueError("lattice coordinates must lie in [0, denominator]")
-    return arr
+    return arr.astype(dtype, copy=False)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class LukProgram:
+    """A Łukasiewicz formula as a straight-line program, one slot per subterm.
+
+    Instruction i computes slot i and is ``(Var, index, None, dead)`` for a
+    variable, ``(kind, a, None, dead)`` for a negation of slot a and
+    ``(kind, a, b, dead)`` for a binary connective on slots a and b; the
+    last instruction computes the root.  ``dead`` lists the slots whose last
+    use is this instruction, so a runner can free them after it.  Build one
+    with ``compile_luk``.
+    """
+
+    code: tuple[tuple, ...]
+
+
+def compile_luk(formula: LukFormula) -> LukProgram:
+    """Compile a formula into a hash-consed straight-line program.
+
+    One post-order pass numbers the subterms by value: a node's key is
+    (``Var``, index) or (type, child slots), so equal subterms share one
+    slot and no node is hashed (a node's hash walks its whole subtree).  The
+    pass keeps a stack of slots as ``fold`` keeps one of results, without
+    its call per node, since it runs on every scan.  Instructions come in
+    post-order of first occurrence, left child first.  Each slot dies at
+    the last instruction that reads it; the root never dies.
+    """
+    code: list[tuple] = []
+    slots: dict[tuple, int] = {}
+    last_read: dict[int, int] = {}
+    stack: list[int] = []
+    for node in reversed(_nodes(formula)):  # children before parents, left first
+        kind = type(node)
+        if kind is Var:
+            key = (Var, node.index, None)
+        elif kind is Neg:
+            key = (Neg, stack.pop(), None)
+        else:
+            right = stack.pop()
+            key = (kind, stack.pop(), right)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(code)
+            code.append(key)
+            if kind is not Var:
+                last_read[key[1]] = slot
+                if key[2] is not None:
+                    last_read[key[2]] = slot
+        stack.append(slot)
+    dead: list[list[int]] = [[] for _ in code]
+    for read, reader in last_read.items():
+        dead[reader].append(read)
+    # from a list, not a generator: on CPython 3.11, tuple() of a generator
+    # left objects that only the cycle collector frees, and a harness run's
+    # peak memory grew by about 1.5 MB
+    return LukProgram(tuple([(*key, tuple(freed)) for key, freed in zip(code, dead)]))
 
 
 def eval_luk_lattice(
-    formula: LukFormula,
+    formula: LukFormula | LukProgram,
     var_order: Sequence[int],
     numerators: Sequence | np.ndarray,
     denominator: int,
-    *,
-    checked: bool = False,
 ) -> np.ndarray:
     """Evaluate one formula at many lattice points at once, exactly.
 
-    ``numerators`` holds one integer array per variable of ``var_order``: the
-    coordinates of that variable scaled by ``denominator``.  A 2-D array is
-    read column by column, so an (npoints, len(var_order)) matrix gives one
-    coordinate row per point.  The arrays broadcast against each other, and
-    each subformula is computed only on the broadcast of the arrays of the
-    variables it mentions: one whose variables are all bound to scalars is
-    computed once, as a scalar.  Returns the value numerators over the same
+    ``formula`` is a formula, compiled here, or a program from
+    ``compile_luk``, so that a caller compiles once for many batches.
+    ``numerators`` holds one integer array per variable of ``var_order``:
+    the coordinates of that variable scaled by ``denominator``.  A 2-D
+    array is read column by column, so an (npoints, len(var_order)) matrix
+    gives one coordinate row per point.  Each array is checked and
+    converted by ``lattice_axis``, so the evaluation runs in the lattice
+    dtype.  The arrays broadcast against each other, and each distinct
+    subterm is computed once, on the broadcast of the arrays of the
+    variables it mentions (as a scalar when they are all scalars), and
+    dropped after its last use.  Returns the value numerators over the same
     denominator, shaped like that broadcast.  Agrees with ``eval_luk``
     pointwise.
-
-    Each array is checked with ``lattice_axis`` unless ``checked`` says the
-    caller already did so for the values it draws the arrays from.
     """
     L = int(denominator)
     if isinstance(numerators, np.ndarray):
@@ -184,8 +283,23 @@ def eval_luk_lattice(
             f"numerators must hold {len(var_order)} coordinate arrays, "
             f"got {len(numerators)}"
         )
-    if not checked:
-        numerators = [lattice_axis(values, L) for values in numerators]
-    table = _luk_connectives(L, np.minimum, np.maximum)
-    table[Var] = _lookup(dict(zip(var_order, numerators)))
-    return fold(formula, table)
+    binding = {
+        index: lattice_axis(values, L) for index, values in zip(var_order, numerators)
+    }
+    program = formula if isinstance(formula, LukProgram) else compile_luk(formula)
+    top = _lattice_dtype(L).type(L)
+    table = _lattice_connectives(top)
+    values: list = [None] * len(program.code)
+    for slot, (kind, a, b, dead) in enumerate(program.code):
+        if kind is Var:
+            try:
+                values[slot] = binding[a]
+            except KeyError:
+                raise UnboundVariableError(a) from None
+        elif b is None:
+            values[slot] = table[kind](values[a])
+        else:
+            values[slot] = table[kind](values[a], values[b])
+        for freed in dead:
+            values[freed] = None
+    return values[-1]

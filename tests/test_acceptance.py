@@ -49,13 +49,13 @@ from stablecons import (
     power,
     random_bool_formula,
     random_instance,
-    random_luk_formula,
     reduce_instance,
     stable_bruteforce,
     variable_occurrences,
     variables,
 )
 from stablecons.cli import run
+from formula_strategies import random_luk_formula
 
 COUNTERMODEL = "countermodel"
 CONSEQUENCE = "consequence"

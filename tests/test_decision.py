@@ -38,12 +38,11 @@ from stablecons import (
     parse_bool,
     parse_luk,
     random_instance,
-    random_luk_formula,
     reduce_instance,
     stable_bruteforce,
     variables,
 )
-from formula_strategies import luk_formulas
+from formula_strategies import luk_formulas, random_luk_formula
 
 
 def unsatisfiable(formulas, n):
@@ -185,10 +184,11 @@ class TestCheckConsequenceRho:
         with pytest.raises(BudgetExceededError):
             check_consequence_rho(output, budget=7)
 
-    # scan chunks hold 64, 256, 1024, 4096 rows: these straddle each boundary
+    # 2**13 points exceed what one call scans whole, so chunks hold 64, 256,
+    # 1024, 4096 rows: these straddle each boundary
     @pytest.mark.parametrize("k", [0, 63, 64, 65, 319, 320, 1343, 1344, 4095])
     def test_first_hit_across_chunk_boundaries(self, k):
-        bits = bits_of(k, 12)
+        bits = bits_of(k, 13)
         output = reduce_instance(holding_only_at(bits))
         verdict = check_consequence_rho(output)
         assert verdict.kind == COUNTERMODEL
@@ -221,6 +221,24 @@ class TestCheckConsequenceRho:
         verdict = check_consequence_rho(output, budget=2**70)
         assert verdict.witness == lift_point(bits, output.e)
         assert points == [64, 256]
+
+    def test_a_small_grid_is_one_lattice_call(self, monkeypatch):
+        # 2**10 points fit one call: the stable grid is scanned once, not
+        # as 64, 256 and then 1024 points
+        every = " /\\ ".join(f"X{i}" for i in range(1, 11))
+        output = reduce_instance(instance_of(10, ((every, "~X10"), 0)))
+        calls = []
+        lattice = stablecons.decision.eval_luk_lattice
+
+        def recording(formula, var_order, numerators, denominator):
+            shapes = [np.shape(values) for values in numerators]
+            calls.append(math.prod(np.broadcast_shapes(*shapes)))
+            return lattice(formula, var_order, numerators, denominator)
+
+        monkeypatch.setattr(stablecons.decision, "eval_luk_lattice", recording)
+        verdict = check_consequence_rho(output)
+        assert verdict.kind == CONSEQUENCE and verdict.certified
+        assert calls == [2**10]
 
 
 class TestFindCountermodel:
@@ -307,18 +325,20 @@ class TestWitnessReverification:
             find_countermodel(parse_luk("X1"), parse_luk(phi), 3)
 
 
-def scan_schedule(first, largest):
+def scan_schedule(first, largest, whole):
     """Run the scan with other chunk sizes: small ones put leading
     (scalar-bound) variables and aligned slabs into small lattices."""
     return mock.patch.multiple(
-        stablecons.decision, _FIRST_CHUNK=first, _SCAN_CHUNK=largest
+        stablecons.decision, _FIRST_CHUNK=first, _SCAN_CHUNK=largest, _WHOLE_SCAN=whole
     )
 
 
 # the default schedule and two small ones; with q = 3 (5 axis entries) and
-# four variables, (2, 16) scans [0, 2) and [0, 5) and then aligned slabs of
-# 15 and 10 points, with two leading variables fixed
-SCHEDULES = [(64, 1 << 16), (2, 16), (4, 128)]
+# four variables, (2, 16, 2) scans [0, 2) and [0, 5) and then aligned slabs
+# of 15 and 10 points, with two leading variables fixed.  The small ones
+# take one call only for scans no larger than their first chunk, so their
+# chunks grow on all but the smallest scans.
+SCHEDULES = [(64, 1 << 16, 1 << 12), (2, 16, 2), (4, 128, 4)]
 
 
 class TestScanShapes:

@@ -1,14 +1,17 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import stablecons.decision
 from stablecons import (
     And,
+    HarnessLimits,
     Join,
     Meet,
     Neg,
@@ -18,6 +21,7 @@ from stablecons import (
     Otimes,
     UnboundVariableError,
     Var,
+    constraint_formula,
     eval_bool,
     eval_luk,
     eval_luk_lattice,
@@ -27,10 +31,18 @@ from stablecons import (
     parse_luk,
     parse_rational01,
     power,
+    random_instance,
+    reduce_instance,
     variables,
 )
 from stablecons.formulas import fold
-from formula_strategies import bool_formulas, luk_formulas, valuations_over
+from stablecons.semantics import compile_luk, lattice_axis
+from formula_strategies import (
+    bool_formulas,
+    luk_formulas,
+    random_luk_formula,
+    valuations_over,
+)
 
 ONE = Fraction(1)
 GRID_12 = [Fraction(k, 12) for k in range(13)]
@@ -268,8 +280,6 @@ class TestLatticeEvaluator:
 
     def test_random_formula_bulk_agreement(self):
         rng = random.Random(99)
-        from stablecons import random_luk_formula
-
         for _ in range(25):
             formula = random_luk_formula(rng, 3, 6)
             indices = sorted(variables(formula))
@@ -285,3 +295,161 @@ class TestLatticeEvaluator:
             for row, value in zip(coords, values):
                 point = {i: Fraction(int(v), L) for i, v in zip(indices, row)}
                 assert Fraction(int(value), L) == eval_luk(formula, point)
+
+
+# The lattice dtype holds [-L, 2L], the range of the connectives' textbook
+# forms; each L below sits on one side of a dtype boundary.
+DTYPE_BOUNDARIES = [
+    (63, np.int8),
+    (64, np.int16),
+    (16_383, np.int16),
+    (16_384, np.int32),
+    (2**30 - 1, np.int32),
+    (2**30, np.int64),
+]
+
+# formulas whose textbook forms reach 2L ((+) of two values near L) and -L
+# ((*) of two values near 0) inside, nested under ~, (+) and (*)
+EXTREME_FORMULAS = [
+    "X1 (+) X2",
+    "X1 (*) X2",
+    "~(X1 (+) X1) (+) (X2 (+) X2)",
+    "~(~X1 (*) ~X2) (*) (X1 (+) X2 (+) X1)",
+    "((X1 (+) X2) (*) (X1 (+) X2)) (+) ~(X2 (*) X1 (*) X2)",
+    "~((X1 (*) X1) (+) ~(X2 (+) X2)) \\/ (X1 (*) ~X2)",
+]
+
+
+class TestLatticeDtype:
+    @pytest.mark.parametrize("L, dtype", DTYPE_BOUNDARIES)
+    def test_the_narrowest_exact_dtype_is_chosen(self, L, dtype):
+        assert lattice_axis([0, L], L).dtype == dtype
+        assert eval_luk_lattice(parse_luk("X1 (+) X1"), [1], [[0, L]], L).dtype == dtype
+
+    @pytest.mark.parametrize("L, dtype", DTYPE_BOUNDARIES)
+    @pytest.mark.parametrize("text", EXTREME_FORMULAS)
+    def test_agrees_with_the_scalar_evaluator_at_the_corners(self, L, dtype, text):
+        formula = parse_luk(text)
+        corners = [0, 1, L - 1, L]
+        rows = list(itertools.product(corners, repeat=2))
+        values = eval_luk_lattice(formula, [1, 2], np.array(rows), L)
+        assert values.dtype == dtype
+        for row, value in zip(rows, values):
+            point = {i: Fraction(v, L) for i, v in zip((1, 2), row)}
+            assert Fraction(int(value), L) == eval_luk(formula, point)
+
+    def test_rejects_a_denominator_past_int64(self):
+        with pytest.raises(ValueError, match="too large"):
+            lattice_axis([0], 2**62)
+        assert lattice_axis([0], 2**62 - 1).dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [
+            ("X1 (+) X2 (+) X3 (+) X4", "X4 (*) X3 (+) X2 (*) X1"),
+            ("(X1 (+) X1) (*) ~X2", "X3 (*) X4 (+) ~X4 (*) X1"),
+            ("X2 (+) X4", "(X1 (*) X4) \\/ (X2 (*) X3) \\/ ~X3"),
+        ],
+    )
+    def test_a_narrow_scan_finds_the_int64_witness(self, theta, phi):
+        # the same points on an int8 lattice (L = 6) and on an int64 one
+        # (L = 6 * 2**40): homogeneity scales every value by 2**40, so the
+        # first hit must be the same point.  Chunks of at most 16 points
+        # leave two leading variables fixed to scalars.
+        theta, phi = parse_luk(theta), parse_luk(phi)
+        scale = 2**40
+        axis = [0, 1, 2, 3, 4, 5, 6]
+        assert lattice_axis(axis, 6).dtype == np.int8
+        assert lattice_axis([a * scale for a in axis], 6 * scale).dtype == np.int64
+        scan = stablecons.decision._scan
+        with mock.patch.multiple(
+            stablecons.decision, _FIRST_CHUNK=2, _SCAN_CHUNK=16, _WHOLE_SCAN=2
+        ):
+            narrow = scan(theta, phi, [1, 2, 3, 4], axis, 6)
+            wide = scan(theta, phi, [1, 2, 3, 4], [a * scale for a in axis], 6 * scale)
+        assert narrow is not None
+        assert wide == tuple(value * scale for value in narrow)
+
+
+# ---------------------------------------------------------------------------
+# the compiled program against a tree fold on Python-int numerators
+
+
+def int_fold(formula, point, L):
+    """Test-local reference: the formula folded over its tree on ints."""
+
+    def value(node):
+        return point[node.index]  # a KeyError names the unbound variable
+
+    return fold(
+        formula,
+        {
+            Var: value,
+            Neg: lambda node, a: L - a,
+            Oplus: lambda node, a, b: min(L, a + b),
+            Otimes: lambda node, a, b: max(0, a + b - L),
+            Meet: lambda node, a, b: min(a, b),
+            Join: lambda node, a, b: max(a, b),
+        },
+    )
+
+
+def reduced_phi(seed):
+    instance = random_instance(random.Random(seed), HarnessLimits(max_vars=4))
+    return reduce_instance(instance).phi
+
+
+def all_four_connectives(a, b):
+    # four binary connectives on one pair of children: keys that confused
+    # two connective types would share a slot
+    return Join(Meet(Oplus(a, b), Otimes(a, b)), Oplus(Meet(a, b), Neg(Join(a, b))))
+
+
+small = luk_formulas(max_index=3, max_leaves=6)
+shared_formulas = st.one_of(
+    st.builds(constraint_formula, st.integers(1, 3), st.integers(2, 5)),
+    st.builds(power, small, st.integers(1, 6)),
+    st.builds(multiple, st.integers(1, 6), small),
+    st.builds(iff, small, small),
+    st.builds(all_four_connectives, small, small),
+    st.builds(reduced_phi, st.integers(0, 2**32)),
+)
+
+
+class TestCompiledProgram:
+    @given(st.one_of(luk_formulas(), shared_formulas), st.data())
+    def test_agrees_with_a_tree_fold(self, formula, data):
+        indices = sorted(variables(formula))
+        L = data.draw(st.sampled_from([1, 2, 12, 63, 64, 2520, 2**30, 2**62 - 1]))
+        coordinate = st.one_of(st.sampled_from([0, L]), st.integers(0, L))
+        rows = data.draw(
+            st.lists(st.tuples(*(coordinate for _ in indices)), min_size=1, max_size=6)
+        )
+        program = compile_luk(formula)
+        values = eval_luk_lattice(program, indices, np.array(rows, dtype=np.int64), L)
+        for row, value in zip(rows, values):
+            assert int(value) == int_fold(formula, dict(zip(indices, row)), L)
+
+    @given(st.one_of(luk_formulas(), shared_formulas), st.data())
+    def test_an_unbound_variable_is_named_as_by_the_fold(self, formula, data):
+        indices = sorted(variables(formula))
+        missing = data.draw(st.sets(st.sampled_from(indices), min_size=1))
+        point = {i: 1 for i in indices if i not in missing}
+        with pytest.raises(KeyError) as expected:
+            int_fold(formula, point, 2)
+        with pytest.raises(UnboundVariableError) as raised:
+            eval_luk_lattice(compile_luk(formula), sorted(point), [1] * len(point), 2)
+        assert raised.value.index == expected.value.args[0]
+
+    @given(st.one_of(luk_formulas(), shared_formulas))
+    def test_one_instruction_per_distinct_subterm(self, formula):
+        code = compile_luk(formula).code
+        stack = [formula]
+        distinct = set()
+        while stack:
+            node = stack.pop()
+            distinct.add(node)
+            for name in ("child", "left", "right"):
+                if hasattr(node, name):
+                    stack.append(getattr(node, name))
+        assert len(code) == len(distinct)
