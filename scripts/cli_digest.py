@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Print one digest line per fixed CLI invocation, to pin stdout across changes.
+
+    PYTHONPATH=src python3 scripts/cli_digest.py > digest.txt
+    diff digest.txt scripts/cli_digest.txt
+
+Each line holds the argv (instance files by name), the exit code and the
+sha-256 of stdout.  The instance files are generated from fixed seeds into a
+temporary directory, and every invocation runs in this process through
+``stablecons.cli.run``.  The invocations cover ``check-consequence`` in
+instance mode (stable and unstable grids of up to 2**16 points, budget
+errors) and in pair mode (random and consequence pairs, the default bound,
+denominators 23, 42 and 43, a budget error), ``check-stable``, ``estar`` and
+``harness``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from stablecons import (
+    And,
+    FormulaGroup,
+    HarnessLimits,
+    Join,
+    Meet,
+    Neg,
+    Not,
+    Oplus,
+    Otimes,
+    StableInstance,
+    Var,
+    bool_to_text,
+    instance_to_json,
+    luk_to_text,
+    random_instance,
+)
+from stablecons.cli import run
+from stablecons.decision import random_bool_formula
+
+_LUK = (Oplus, Otimes, Meet, Join)
+
+
+def luk_formula(rng: random.Random, m: int, connectives: int):
+    """Random many-valued formula over X1..Xm; deterministic given the rng."""
+    nodes = [Var(rng.randint(1, m)) for _ in range(connectives + 1)]
+    for _ in range(connectives):
+        if rng.random() < 0.2:
+            i = rng.randrange(len(nodes))
+            nodes[i] = Neg(nodes[i])
+        else:
+            i = rng.randrange(len(nodes) - 1)
+            nodes[i : i + 2] = [rng.choice(_LUK)(nodes[i], nodes[i + 1])]
+    while len(nodes) > 1:
+        nodes[:2] = [Oplus(nodes[0], nodes[1])]
+    return nodes[0]
+
+
+def stable_instance(rng: random.Random, n: int) -> StableInstance:
+    """An instance whose grid check scans all 2**n points: every way of
+    deleting one formula of the first group still forces Xx, which the second
+    group refutes."""
+    x = Var(rng.randint(1, n))
+    forcing = (x, And(x, random_bool_formula(rng, n, 3)))
+    return StableInstance(n, (FormulaGroup(forcing, 1), FormulaGroup((Not(x),), 0)))
+
+
+def invocations(workdir: Path) -> list[list[str]]:
+    calls: list[list[str]] = []
+
+    def instance_file(name: str, instance: StableInstance) -> str:
+        path = workdir / name
+        path.write_text(json.dumps(instance_to_json(instance)), encoding="utf-8")
+        return str(path)
+
+    rng = random.Random(20261018)
+    for i in range(60):
+        limits = HarnessLimits(max_vars=rng.randint(1, 14), max_connectives=8)
+        path = instance_file(f"random{i}.json", random_instance(rng, limits))
+        calls.append(["check-consequence", path])
+        if i % 10 == 0:
+            calls.append(["check-consequence", path, "--budget", "3"])
+        if i % 3 == 0:
+            calls.append(["check-stable", path])
+    for i, n in enumerate((1, 2, 5, 9, 12, 13, 14, 16)):
+        path = instance_file(f"stable{i}.json", stable_instance(rng, n))
+        calls.append(["check-consequence", path])
+        calls.append(["check-stable", path])
+
+    for i in range(80):
+        m = rng.randint(1, 4)
+        phi = luk_formula(rng, m, rng.randint(0, 6))
+        theta = luk_formula(rng, m, rng.randint(0, 6))
+        if i % 2:
+            theta = Otimes(phi, theta)  # a consequence: the scan runs to the end
+        pair = ["check-consequence", "--theta", luk_to_text(theta), "--phi", luk_to_text(phi)]
+        bound = rng.choice((0, 1, 2, 3, 5, 8) if m == 4 else (0, 1, 3, 6, 10, 14))
+        calls.append(pair + (["--max-denominator", str(bound)] if bound else []))
+        if i % 20 == 0:
+            calls.append(pair + ["--max-denominator", "6", "--budget", "10"])
+        if i < 3:
+            for q in (23, 42, 43):
+                calls.append(
+                    ["check-consequence", "--theta", luk_to_text(luk_formula(rng, 1, 4)),
+                     "--phi", luk_to_text(luk_formula(rng, 1, 4)), "--max-denominator", str(q)]
+                )
+
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        call = ["estar", "--omega", bool_to_text(random_bool_formula(rng, n, 2))]
+        for _ in range(rng.randint(0, 2)):
+            call += ["--delta", bool_to_text(random_bool_formula(rng, n, 3))]
+        for _ in range(rng.randint(1, 4)):
+            call += ["--nabla", bool_to_text(random_bool_formula(rng, n, 3))]
+        calls.append(call)
+
+    for seed in (1, 2, 3, 7, 42):
+        calls.append(["harness", "--seed", str(seed), "--trials", "200"])
+    return calls
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for argv in invocations(workdir):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv)
+            shown = [Path(a).name if a.startswith(tmp) else a for a in argv]
+            digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+            print(json.dumps(shown), code, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,17 +18,23 @@ integer numerators with ``eval_luk_lattice``, in the narrowest integer dtype
 that holds every intermediate value in [-L, 2L] (int8 on every grid with
 e <= 62); L must stay below 2**62, which admits max_denominator <= 42.  Each
 formula is compiled once per scan into a straight-line program that computes
-each distinct subterm once.  Each chunk is a slab: the leading variables are
-fixed to scalars, one variable runs over a stretch of the axis and the
-trailing ones over the whole axis, each on its own broadcast dimension, so a
-subformula is computed only on the axes of the variables it mentions.  In
-pair mode the antecedent is evaluated on the slab first and the consequent
-only where the antecedent is 1.  A scan of at most ``_WHOLE_SCAN`` points is
-one slab.  A larger one starts with chunks of 64 points that grow four-fold,
-each rescanning from the first point, up to ``_SCAN_CHUNK`` points; aligned
-slabs of at most that size follow.  The first hit in the slab's C order is
-the first in the scan order; it is decoded into a ``Fraction`` witness and
-re-verified with the scalar ``eval_luk`` before it is reported.
+each distinct subterm once.  The points fall into rows: a row fixes the
+leading variables and runs the last few, enough for 64 points, over the
+whole axis; a scan of at most ``_WHOLE_SCAN`` points is one row.  Rows are
+scanned in order, in batches of 64 points growing four-fold up to
+``_SCAN_CHUNK``, each starting where the previous one ended.  A batch is one
+broadcast slab, each trailing variable on a dimension of its own, so a
+subformula is computed only on the axes of the variables it mentions.  In pair mode the rows are first bounded: every
+connective is monotone in each argument and negation antitone, so running
+the programs on the ends of a row's box (its leading coordinates fixed, the
+rest spanning the axis) encloses the antecedent and the consequent on the
+whole row, in the same exact integers.  A row whose antecedent cannot reach
+1, or whose consequent cannot fall below 1, holds no countermodel and is
+dropped before it is scanned.  On the rows that remain, the antecedent is
+evaluated on the slab first and the consequent only where the antecedent is
+1.  The first hit in the slab's C order is the first in the scan order; it
+is decoded into a ``Fraction`` witness and re-verified with the scalar
+``eval_luk`` before it is reported.
 
 All enumerations honor a hard budget and raise ``BudgetExceededError`` rather
 than truncate, and every emitted witness is deterministic: the first hit in
@@ -66,6 +72,7 @@ from .reduction import (
 from .semantics import (
     ONE,
     LukProgram,
+    _bound_luk_lattice,
     compile_luk,
     eval_bool,
     eval_luk,
@@ -229,10 +236,11 @@ def check_consequence_rho(
     question outright: certified consequence if it is 1 everywhere, otherwise
     the first grid point (lexicographic, low coordinate first, the last
     variable varying fastest) where it falls short.  The grid is scanned by
-    ``_scan`` on the integer numerators {1, e} over L = e+1, as slabs of up
-    to ``_SCAN_CHUNK`` points; the antecedent is not evaluated there, since
-    grid forcing makes every grid point one of its models, but the witness
-    is re-verified against both formulas with ``eval_luk``.
+    ``_scan`` on the integer numerators {1, e} over L = e+1, row by row in
+    batches of up to ``_SCAN_CHUNK`` points; the antecedent is neither
+    bounded nor evaluated there, since grid forcing makes every grid point
+    one of its models, but the witness is re-verified against both formulas
+    with ``eval_luk``.
     """
     n = output.stats.n
     _check_budget(2**n, budget, "grid enumeration")
@@ -274,9 +282,10 @@ def find_countermodel(
     complete only when the bound covers the pair's true vertex denominators.
     The points are scanned by ``_scan`` on integer numerators over
     L = lcm(1..max_denominator), which must stay below 2**62, so bounds past
-    42 raise ``ValueError`` before any scan.  Each slab evaluates the
-    antecedent first and the consequent only at the antecedent's models; the
-    witness is re-verified with ``eval_luk``.
+    42 raise ``ValueError`` before any scan.  Rows whose bounds rule out a
+    countermodel are dropped unscanned; each batch evaluates the antecedent
+    first and the consequent only at the antecedent's models; the witness is
+    re-verified with ``eval_luk``.
     """
     var_order = sorted(variables(theta) | variables(phi))
     fractions = denominator_bounded_fractions(max_denominator)
@@ -309,94 +318,160 @@ def _scan(
     fastest.  ``L`` and the axis are checked once, by ``lattice_axis``, which
     also fixes the dtype of every slab; theta and phi are compiled once.
 
-    The scan runs over rectangles of that order (see ``_scan_rectangle``).
-    When all base^m points number at most ``_WHOLE_SCAN``, they are one
-    rectangle, scanned in one call.  Otherwise, while chunks grow (64 points,
-    then four-fold up to ``_SCAN_CHUNK``), each one is the largest rectangle
-    of the target size that starts at point 0, so it rescans its
-    predecessors: an early hit stays cheap, and a rectangle cannot start
-    where a four-fold larger one ended.  After that come aligned slabs of up
-    to ``_SCAN_CHUNK`` points in order.  Returns the first hit's numerators,
-    or None.
+    The points fall into rows: a row fixes the first m-k variables and runs
+    the last k over the whole axis, with k the smallest value (at least 1,
+    at most m) for which a row holds ``_FIRST_CHUNK`` points.  Rows are
+    scanned in order, in batches (see ``_scan_rows``) of ``_FIRST_CHUNK``
+    points growing four-fold up to ``_SCAN_CHUNK``, at least one row each.
+    Each batch starts where the previous one ended, so an early hit stays
+    cheap and no point is scanned twice.  A scan of at most ``_WHOLE_SCAN``
+    points is one row (k = m) and so one batch, in which every variable has
+    a broadcast dimension of its own: a batch of several rows puts all the
+    leading variables on one dimension, which on grids of 2**8 to 2**10
+    points made the scan about 8% slower.
+
+    With theta given, rows are first bounded in blocks of at most
+    ``_SCAN_CHUNK // 2`` rows (see ``_viable_rows``), and a row is dropped
+    when theta's upper bound on it is below L or phi's lower bound is L; the
+    batches are then filled from the surviving rows, in order, bounding
+    further blocks as they run short.  Both tests are sound, since no point
+    of a dropped row is a countermodel, so the first hit is still the first
+    countermodel in scan order.  The grid check has no antecedent and scans
+    every row.  Returns the first hit's numerators, or None.
     """
     values = lattice_axis(axis, L)
     theta_program = None if theta is None else compile_luk(theta)
     phi_program = compile_luk(phi)
     base, m = len(values), len(var_order)
-    k, width = _rectangle(_SCAN_CHUNK, base, m)
-    size = base**m if base**m <= _WHOLE_SCAN else _FIRST_CHUNK
+    k = 1
+    while k < m and (base**k < _FIRST_CHUNK or base**m <= _WHOLE_SCAN):
+        k += 1
+    rows, block = base ** (m - k), max(1, _SCAN_CHUNK // 2)
+    size = _FIRST_CHUNK
+    pending = np.empty((0, m - k), dtype=np.intp)
+    taken = 0  # rows decoded so far
     while True:
-        grow_k, grow_width = _rectangle(size, base, m)
-        if grow_width * base**grow_k >= width * base**k:  # the first slab
-            break
-        hit = _scan_rectangle(
-            theta_program, phi_program, var_order, values, L, 0, 0, grow_width, grow_k
+        wanted = max(1, size // base**k)
+        while len(pending) < wanted and taken < rows:
+            count = min(rows - taken, wanted - len(pending) if theta is None else block)
+            fresh = _row_positions(taken, count, base, m - k)
+            if theta is not None:
+                fresh = _viable_rows(
+                    theta_program, phi_program, var_order, values, L, fresh
+                )
+            taken += count
+            pending = np.concatenate((pending, fresh))
+        if not len(pending):
+            return None
+        hit = _scan_rows(
+            theta_program, phi_program, var_order, values, L, pending[:wanted]
         )
         if hit is not None:
             return hit
-        size *= 4
-    for lead in range(base ** (m - k - 1)):
-        for low in range(0, base, width):
-            high = min(low + width, base)
-            hit = _scan_rectangle(
-                theta_program, phi_program, var_order, values, L, lead, low, high, k
-            )
-            if hit is not None:
-                return hit
-    return None
+        pending = pending[wanted:]
+        size = min(4 * size, _SCAN_CHUNK)
 
 
-def _rectangle(points: int, base: int, m: int) -> tuple[int, int]:
-    """(k, width) of the largest rectangle of at most ``points`` points.
+def _row_positions(first: int, count: int, base: int, width: int) -> np.ndarray:
+    """Axis positions fixed by rows first..first+count-1, one row per line.
 
-    A rectangle runs its last k variables over the whole axis and the one
-    before them over ``width`` <= base consecutive axis positions.
+    Row r fixes the ``width`` leading variables to the base-``base`` digits
+    of r, most significant first.  ``first`` is a Python int, so rows past
+    2**63 decode exactly: the t lowest digits, with base**t >= count, come
+    from first's low part plus the offsets within the block, in int64; the
+    digits above them are those of first's high part, or of that plus one
+    on the rows past a carry.
     """
-    k = 0
-    while k < m - 1 and base ** (k + 1) <= points:
-        k += 1
-    return k, min(base, points // base**k)
+    t = 0
+    while t < width and base**t < count:
+        t += 1
+    high, low = divmod(first, base**t)
+    leading = [[], []]  # the digits of high and of high + 1, least first
+    for digits, row in zip(leading, (high, high + 1)):
+        for _ in range(width - t):
+            row, digit = divmod(row, base)
+            digits.append(digit)
+    leading = np.array(leading, dtype=np.intp)[:, ::-1]
+    if t == 0:  # one row
+        return leading[:1]
+    offsets = np.arange(low, low + count)
+    positions = np.empty((count, width), dtype=np.intp)
+    positions[:, : width - t] = leading[(offsets >= base**t).astype(np.intp)]
+    positions[:, width - t :] = offsets[:, None] // base ** np.arange(t - 1, -1, -1) % base
+    return positions
 
 
-def _scan_rectangle(
+def _viable_rows(
+    theta: LukProgram,
+    phi: LukProgram,
+    var_order: Sequence[int],
+    values: np.ndarray,
+    L: int,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """The rows on which a countermodel is not ruled out by bounds.
+
+    Each row is a box: its leading coordinates are points, and each of the
+    last k variables spans [min, max] of the axis.  ``_bound_luk_lattice``
+    encloses theta and phi over every box at once, on arrays of at most
+    two entries per row.  A row stays when theta's upper bound is L, and
+    then phi's lower bound is below L; phi is bounded only on the rows that
+    theta keeps.
+    """
+    top = values.dtype.type(L)
+    width = rows.shape[1]
+    whole = np.array([[values.min()], [values.max()]], dtype=values.dtype)
+
+    def bounds(program: LukProgram, rows: np.ndarray) -> np.ndarray:
+        binding = {index: whole for index in var_order[width:]}
+        for index, column in zip(var_order, rows.T):
+            binding[index] = values[column][None]  # a point: lower = upper
+        return _bound_luk_lattice(program, binding, top)
+
+    rows = rows[np.broadcast_to(bounds(theta, rows)[-1] == top, len(rows))]
+    if len(rows):
+        rows = rows[np.broadcast_to(bounds(phi, rows)[0] < top, len(rows))]
+    return rows
+
+
+def _scan_rows(
     theta: LukProgram | None,
     phi: LukProgram,
     var_order: Sequence[int],
     values: np.ndarray,
     L: int,
-    lead: int,
-    low: int,
-    high: int,
-    k: int,
+    rows: np.ndarray,
 ) -> tuple[int, ...] | None:
-    """First hit among the points of one rectangle, as one broadcast slab.
+    """First hit among the points of some rows, as one broadcast slab.
 
-    The leading m-k-1 coordinates are fixed to the axis entries at the
-    base-len(values) digits of ``lead`` and bound as scalars of the axis
-    dtype (``lead`` is a Python int, so it stays exact past 2**63).  The slab
-    variable runs over axis positions low..high-1 and each of the last k
-    variables over the whole axis, each on its own broadcast dimension, so
-    the slab's C order is the scan order.  With theta given, theta is
-    evaluated on the slab and phi only on the points where theta = L,
-    gathered in C order by ``np.nonzero``.
+    ``rows`` holds, one row per line in scan order, the axis positions of
+    the leading variables; each of the remaining k variables runs over the
+    whole axis on its own broadcast dimension.  One row binds its leading
+    coordinates as scalars of the axis dtype; several bind each as an array
+    along one first dimension that they share, one entry per row, so the
+    slab's C order is the scan order either way.  With theta given, theta is evaluated on the slab and
+    phi only on the points where theta = L, gathered in C order by
+    ``np.nonzero``.
     """
-    base, m = len(values), len(var_order)
-    fixed = []
-    for _ in range(m - k - 1):
-        lead, digit = divmod(lead, base)
-        fixed.append(values[digit])
-    fixed.reverse()
+    base = len(values)
+    k = len(var_order) - rows.shape[1]
     top = values.dtype.type(L)
-    shape = (high - low,) + (base,) * k
-    axes = [values[low:high].reshape(shape[:1] + (1,) * k)]
-    axes += [values.reshape((base,) + (1,) * (k - 1 - t)) for t in range(k)]
+    axes = [values.reshape((base,) + (1,) * (k - 1 - t)) for t in range(k)]
+    shape = (base,) * k
+    if len(rows) == 1:
+        fixed = [values[position] for position in rows[0]]
+    else:
+        fixed = []
+        axes = [values[column].reshape((-1,) + (1,) * k) for column in rows.T] + axes
+        shape = (len(rows),) + shape
     if theta is not None:
         value = eval_luk_lattice(theta, var_order, fixed + axes, L)
         models = np.broadcast_to(value == top, shape)
         if not models.any():  # cheaper than an empty np.nonzero
             return None
         models = np.nonzero(models)
-        axes = [values[low + models[0]]] + [values[p] for p in models[1:]]
+        lead = [values[column[models[0]]] for column in rows.T] if len(rows) > 1 else []
+        axes = lead + [values[position] for position in models[-k:]]
         shape = models[0].shape
     value = eval_luk_lattice(phi, var_order, fixed + axes, L)
     misses = np.broadcast_to(value < top, shape)
@@ -449,15 +524,31 @@ class HarnessLimits:
 def random_bool_formula(
     rng: random.Random, n_vars: int, max_connectives: int
 ) -> BoolFormula:
-    if max_connectives <= 0 or rng.random() < 0.3:
-        return Var(rng.randint(1, n_vars))
-    kind = rng.choice(("not", "and", "or"))
-    if kind == "not":
-        return Not(random_bool_formula(rng, n_vars, max_connectives - 1))
-    split = rng.randint(0, max_connectives - 1)
-    left = random_bool_formula(rng, n_vars, split)
-    right = random_bool_formula(rng, n_vars, max_connectives - 1 - split)
-    return And(left, right) if kind == "and" else Or(left, right)
+    """Random boolean formula; deterministic given the rng state.
+
+    A node with budget c is a variable when c <= 0 or with probability 0.3;
+    otherwise a negation with budget c - 1 for its child, or a conjunction
+    or disjunction that splits c - 1 between its children.  Nodes are drawn
+    in pre-order, left child first, from an explicit stack that holds
+    budgets still to draw and connectives waiting for their children.
+    """
+    todo: list = [max_connectives]
+    done: list[BoolFormula] = []
+    while todo:
+        task = todo.pop()
+        if isinstance(task, type):  # a connective whose children are done
+            right = done.pop()
+            done.append(task(right) if task is Not else task(done.pop(), right))
+        elif task <= 0 or rng.random() < 0.3:
+            done.append(Var(rng.randint(1, n_vars)))
+        else:
+            kind = rng.choice(("not", "and", "or"))
+            if kind == "not":
+                todo += [Not, task - 1]
+            else:
+                split = rng.randint(0, task - 1)
+                todo += [And if kind == "and" else Or, task - 1 - split, split]
+    return done[0]
 
 
 def random_instance(rng: random.Random, limits: HarnessLimits) -> StableInstance:

@@ -19,7 +19,10 @@ enumeration-heavy searches can be vectorized.  It runs a formula compiled by
 ``compile_luk`` into a straight-line program with one instruction per
 distinct subterm, and takes one broadcastable array per variable, so a
 search can lay its points out as a grid of axes and compute each subformula
-only on the axes of the variables it mentions.
+only on the axes of the variables it mentions.  The same runner, given
+stacked (lower, upper) numerators and a negation that swaps the two, bounds
+a program over boxes of lattice points (interval evaluation), since every
+connective is monotone in each argument and negation is antitone.
 """
 
 from __future__ import annotations
@@ -288,7 +291,31 @@ def eval_luk_lattice(
     }
     program = formula if isinstance(formula, LukProgram) else compile_luk(formula)
     top = _lattice_dtype(L).type(L)
-    table = _lattice_connectives(top)
+    return _run(program, binding, _lattice_connectives(top))
+
+
+def _bound_luk_lattice(
+    program: LukProgram, binding: Mapping[int, np.ndarray], top
+) -> np.ndarray:
+    """Exact enclosure of a program's values over boxes of lattice points.
+
+    ``binding`` maps each variable to its (lower, upper) numerators stacked
+    on a leading axis of length 2 (or 1, which broadcasts, where the two are
+    equal), in the lattice dtype of ``top``, the scalar L; the remaining
+    axes broadcast as in ``eval_luk_lattice``, one box per entry.  Returns
+    the stacked (lower, upper) of the program over each box.  Every binary
+    connective is monotone in both arguments, so applying it to the lower
+    ends and to the upper ends bounds it; negation is antitone, so it swaps
+    the ends.  Interval evaluation ignores that a variable mentioned twice
+    takes one value, so the enclosure may be wider than the range, never
+    narrower; on a box of one point it is that point's value.
+    """
+    table = {**_lattice_connectives(top), Neg: lambda a: top - a[::-1]}
+    return _run(program, binding, table)
+
+
+def _run(program: LukProgram, binding: Mapping[int, object], table: dict):
+    """Run a straight-line program with the connectives of ``table``."""
     values: list = [None] * len(program.code)
     for slot, (kind, a, b, dead) in enumerate(program.code):
         if kind is Var:

@@ -42,6 +42,7 @@ from stablecons import (
     stable_bruteforce,
     variables,
 )
+from stablecons.semantics import compile_luk
 from formula_strategies import luk_formulas, random_luk_formula
 
 
@@ -94,6 +95,22 @@ def scalar_pair_scan(theta, phi, max_denominator):
         if eval_luk(theta, point) == 1 and eval_luk(phi, point) < 1:
             return COUNTERMODEL, point
     return INCONCLUSIVE, None
+
+
+def count_points(monkeypatch, theta):
+    """Spy on the scan's lattice calls: points evaluated for theta and phi."""
+    points = {"theta": 0, "phi": 0}
+    theta_code = compile_luk(theta).code
+    lattice = stablecons.decision.eval_luk_lattice
+
+    def recording(program, var_order, numerators, denominator):
+        shapes = [np.shape(values) for values in numerators]
+        side = "theta" if program.code == theta_code else "phi"
+        points[side] += math.prod(np.broadcast_shapes(*shapes))
+        return lattice(program, var_order, numerators, denominator)
+
+    monkeypatch.setattr(stablecons.decision, "eval_luk_lattice", recording)
+    return points
 
 
 class TestStableBruteforce:
@@ -301,6 +318,16 @@ class TestFindCountermodel:
             kinds.add(kind)
         assert kinds == {COUNTERMODEL, INCONCLUSIVE}
 
+    def test_bounds_drop_rows_of_a_consequence_pair(self, monkeypatch):
+        # theta = phi (*) psi forces phi = 1, so the scan runs to the end; with
+        # X1 and X2 fixed, theta's upper bound rules out most rows
+        phi = parse_luk("(X1 (+) ~X2) (*) (X3 \\/ X4)")
+        theta = Otimes(phi, parse_luk("X2 (+) X4 (*) X1"))
+        points = count_points(monkeypatch, theta)
+        verdict = find_countermodel(theta, phi, 8)
+        assert verdict.kind == INCONCLUSIVE
+        assert points["theta"] + points["phi"] < 23**4  # 23 axis entries at q = 8
+
 
 class TestWitnessReverification:
     """A scan hit that is not a countermodel is an error, never a verdict."""
@@ -334,10 +361,12 @@ def scan_schedule(first, largest, whole):
 
 
 # the default schedule and two small ones; with q = 3 (5 axis entries) and
-# four variables, (2, 16, 2) scans [0, 2) and [0, 5) and then aligned slabs
-# of 15 and 10 points, with two leading variables fixed.  The small ones
-# take one call only for scans no larger than their first chunk, so their
-# chunks grow on all but the smallest scans.
+# four variables, both small ones make rows of 5 points with three leading
+# variables fixed: (2, 16, 2) scans batches of 1, 1 and then 3 rows and, in
+# pair mode, bounds blocks of 8 rows, so batches draw on several blocks;
+# (4, 128, 4) scans batches of 1, 3, 12 and then 25 rows from blocks of 64.
+# The small ones take one call only for scans no larger than their first
+# chunk, so their batches grow on all but the smallest scans.
 SCHEDULES = [(64, 1 << 16, 1 << 12), (2, 16, 2), (4, 128, 4)]
 
 
@@ -388,16 +417,31 @@ class TestScanShapes:
                 verdict = find_countermodel(theta, phi, q)
             assert (verdict.kind, verdict.witness) == scalar_pair_scan(theta, phi, q)
 
-    # with n = 17 the scan covers [0, 64), [0, 256), ..., [0, 16384) while
-    # chunks grow, then the aligned slabs [0, 65536) and [65536, 131072)
+    # a consequence, so the scan runs to the end; theta = 1 only where every
+    # variable is 1, and with q = 5 (11 axis entries, 11**4 points: more than
+    # one row even under the default schedule) X1 is fixed on every row, so
+    # the bounds drop the rows with X1 < 1
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_rows_are_dropped_under_every_schedule(self, monkeypatch, schedule):
+        theta, phi = parse_luk("X1 (*) X2 (*) X3 (*) X4"), parse_luk("X4 (+) X3")
+        points = count_points(monkeypatch, theta)
+        with scan_schedule(*schedule):
+            verdict = find_countermodel(theta, phi, 5)
+        assert (verdict.kind, verdict.witness) == scalar_pair_scan(theta, phi, 5)
+        assert points["theta"] < 11**4
+
+    # with n = 17 a row is 64 points; batches of 64, 256, ..., 16384 points
+    # cover [0, 21824), then come 65536 and the last 43712
     @pytest.mark.parametrize(
         "k, chunks",
         [
-            (16383, [64, 256, 1024, 4096, 16384]),
-            (16384, [64, 256, 1024, 4096, 16384, 65536]),
-            (65535, [64, 256, 1024, 4096, 16384, 65536]),
-            (65536, [64, 256, 1024, 4096, 16384, 65536, 65536]),
-            (2**17 - 1, [64, 256, 1024, 4096, 16384, 65536, 65536]),
+            (5439, [64, 256, 1024, 4096]),
+            (5440, [64, 256, 1024, 4096, 16384]),
+            (21823, [64, 256, 1024, 4096, 16384]),
+            (21824, [64, 256, 1024, 4096, 16384, 65536]),
+            (87359, [64, 256, 1024, 4096, 16384, 65536]),
+            (87360, [64, 256, 1024, 4096, 16384, 65536, 43712]),
+            (2**17 - 1, [64, 256, 1024, 4096, 16384, 65536, 43712]),
         ],
     )
     def test_first_hit_at_the_schedule_boundaries(self, monkeypatch, k, chunks):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -22,6 +23,7 @@ from stablecons import (
     UnboundVariableError,
     Var,
     constraint_formula,
+    denominator_bounded_fractions,
     eval_bool,
     eval_luk,
     eval_luk_lattice,
@@ -36,7 +38,7 @@ from stablecons import (
     variables,
 )
 from stablecons.formulas import fold
-from stablecons.semantics import compile_luk, lattice_axis
+from stablecons.semantics import _bound_luk_lattice, compile_luk, lattice_axis
 from formula_strategies import (
     bool_formulas,
     luk_formulas,
@@ -453,3 +455,82 @@ class TestCompiledProgram:
                 if hasattr(node, name):
                     stack.append(getattr(node, name))
         assert len(code) == len(distinct)
+
+
+# ---------------------------------------------------------------------------
+# the bound runner: exact enclosures over boxes of lattice points
+
+
+def farey_axis(q):
+    L = math.lcm(*range(1, q + 1))
+    fractions = denominator_bounded_fractions(q)
+    return [f.numerator * (L // f.denominator) for f in fractions], L
+
+
+def grid_axis(e):
+    return [1, e], e + 1
+
+
+enclosed_formulas = st.one_of(
+    luk_formulas(),
+    st.builds(constraint_formula, st.integers(1, 3), st.integers(2, 5)),
+    st.builds(reduced_phi, st.integers(0, 2**32)),
+)
+box_axes = st.one_of(
+    st.builds(farey_axis, st.integers(1, 5)), st.builds(grid_axis, st.integers(2, 9))
+)
+
+
+def draw_boxes(data, indices, axis, most=3, widest=2):
+    """Up to ``most`` boxes, each a run of at most widest + 1 consecutive
+    axis positions per variable."""
+    run = st.tuples(st.integers(0, len(axis) - 1), st.integers(0, widest)).map(
+        lambda start: (start[0], min(start[0] + start[1], len(axis) - 1))
+    )
+    return data.draw(
+        st.lists(st.tuples(*(run for _ in indices)), min_size=1, max_size=most)
+    )
+
+
+def bind_boxes(indices, axis, boxes, L):
+    """Each variable's (lower, upper) numerators stacked over the boxes."""
+    return {
+        index: lattice_axis(
+            [[axis[box[v][0]] for box in boxes], [axis[box[v][1]] for box in boxes]], L
+        )
+        for v, index in enumerate(indices)
+    }
+
+
+class TestBoundRunner:
+    @given(enclosed_formulas, box_axes, st.data())
+    def test_every_point_of_a_box_lies_in_its_enclosure(self, formula, axis_L, data):
+        axis, L = axis_L
+        indices = sorted(variables(formula))
+        boxes = draw_boxes(data, indices, axis)
+        top = lattice_axis([L], L)[0]
+        bounds = _bound_luk_lattice(
+            compile_luk(formula), bind_boxes(indices, axis, boxes, L), top
+        )
+        assert bounds.shape == (2, len(boxes))
+        for box, (lower, upper) in zip(boxes, bounds.T):
+            runs = [axis[low : high + 1] for low, high in box]
+            for point in itertools.product(*runs):
+                valuation = {i: Fraction(v, L) for i, v in zip(indices, point)}
+                assert lower <= eval_luk(formula, valuation) * L <= upper
+
+    @given(enclosed_formulas, box_axes, st.data())
+    def test_a_box_of_one_point_encloses_its_value_exactly(self, formula, axis_L, data):
+        axis, L = axis_L
+        indices = sorted(variables(formula))
+        boxes = draw_boxes(data, indices, axis, widest=0)
+        top = lattice_axis([L], L)[0]
+        binding = bind_boxes(indices, axis, boxes, L)
+        program = compile_luk(formula)
+        bounds = _bound_luk_lattice(program, binding, top)
+        # a stack of one, as the scan binds a point, broadcasts to the same
+        halves = {index: stacked[:1] for index, stacked in binding.items()}
+        assert np.array_equal(_bound_luk_lattice(program, halves, top)[0], bounds[0])
+        for box, (lower, upper) in zip(boxes, bounds.T):
+            valuation = {i: Fraction(axis[low], L) for i, (low, _) in zip(indices, box)}
+            assert lower == upper == eval_luk(formula, valuation) * L
