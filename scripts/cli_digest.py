@@ -11,7 +11,10 @@ temporary directory, and every invocation runs in this process through
 instance mode (stable and unstable grids of up to 2**16 points, budget
 errors) and in pair mode (random and consequence pairs, the default bound,
 denominators 23, 42 and 43, a budget error), ``check-stable``, ``estar`` and
-``harness``.
+``harness``; then ``reduce`` with and without ``--stats`` on every instance
+file (among them renumbered instances and one at n = 2000), and ``nnf``,
+``ddagger`` and ``parse`` on seeded formulas.  New invocations are appended
+after the existing ones, so earlier lines keep their bytes.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from stablecons import (
     Neg,
     Not,
     Oplus,
+    Or,
     Otimes,
     StableInstance,
     Var,
@@ -74,10 +78,12 @@ def stable_instance(rng: random.Random, n: int) -> StableInstance:
 
 def invocations(workdir: Path) -> list[list[str]]:
     calls: list[list[str]] = []
+    instance_files: list[str] = []
 
     def instance_file(name: str, instance: StableInstance) -> str:
         path = workdir / name
         path.write_text(json.dumps(instance_to_json(instance)), encoding="utf-8")
+        instance_files.append(str(path))
         return str(path)
 
     rng = random.Random(20261018)
@@ -123,6 +129,27 @@ def invocations(workdir: Path) -> list[list[str]]:
 
     for seed in (1, 2, 3, 7, 42):
         calls.append(["harness", "--seed", str(seed), "--trials", "200"])
+
+    rng = random.Random(20261019)
+    # a gap in the used variables (renumbered), and a grid antecedent of
+    # 2000 conjuncts, whose printed chain is long
+    instance_file("gaps.json", StableInstance(9, (
+        FormulaGroup((Var(3), Or(Var(7), Not(Var(3))), Not(Var(9))), 1),
+        FormulaGroup((And(Var(9), Var(7)),), 0),
+    )))
+    instance_file("wide.json", stable_instance(rng, 2000))
+    for path in instance_files:
+        calls.append(["reduce", path])
+        calls.append(["reduce", path, "--stats"])
+    for i in range(60):
+        formula = random_bool_formula(rng, rng.randint(1, 6), rng.randint(0, 10))
+        if i % 4 == 0:
+            formula = Not(Not(formula) if i % 8 else formula)  # negation on top
+        text = bool_to_text(formula)
+        calls += [["nnf", text], ["ddagger", text], ["parse", "--bool", text]]
+        calls.append(["parse", "--luk", luk_to_text(luk_formula(rng, 4, rng.randint(0, 12)))])
+    deep = "~" * 301 + "(X1 /\\ ~(X2 \\/ ~X3))"
+    calls += [["nnf", deep], ["ddagger", deep], ["parse", "--bool", deep]]
     return calls
 
 
