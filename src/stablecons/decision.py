@@ -240,9 +240,11 @@ def check_consequence_rho(
     batches of up to ``_SCAN_CHUNK`` points; the antecedent is neither
     bounded nor evaluated there, since grid forcing makes every grid point
     one of its models, but the witness is re-verified against both formulas
-    with ``eval_luk``.
+    with ``eval_luk``.  So the check reads only n, e and the consequent of
+    ``output``: the antecedent is built only when a countermodel is found,
+    and the size statistics are never built.
     """
-    n = output.stats.n
+    n = output.n
     _check_budget(2**n, budget, "grid enumeration")
     var_order = range(1, n + 1)
     L = output.e + 1

@@ -22,10 +22,11 @@ zero.  Boolean formulas use only ``~``,
 No walk over a formula recurses, so nesting depth is bounded only by memory.
 ``_nodes`` lists the nodes with an explicit stack, and ``fold`` runs a
 post-order fold over that list: it takes a table from node type to an
-operation on the node and its children's results.  Evaluation, negation
-normal form, the many-valued translation, renaming and printing are each one
-such table.  Node equality, hashing and pickling use the flat pre-order key
-of the nodes, and ``repr`` writes the dataclass text from an explicit stack.
+operation on the node and its children's results.  Evaluation and renaming
+are each one such table.  Node equality, hashing and pickling use the flat
+pre-order key of the nodes.  ``repr`` and the printer write their text pieces
+from an explicit stack and join them once, so printing is linear in the
+length of the text.
 One stack-based precedence parser reads both languages; the boolean one is
 the connective table without ``(+)``, ``(*)``, ``->`` and ``<->``.  It reads
 the tokens of one compiled regular expression.
@@ -295,49 +296,80 @@ def measure(formula: Formula) -> FormulaLength:
 
 _LEVEL_LATTICE, _LEVEL_OPLUS, _LEVEL_OTIMES, _LEVEL_UNARY, _LEVEL_ATOM = range(5)
 
-
-def _wrap(printed: tuple[str, int], floor: int) -> str:
-    text, level = printed
-    return f"({text})" if level < floor else text
-
-
-def _infix(symbol: str, level: int, right_floor: int) -> Callable[..., tuple[str, int]]:
-    def op(node: Formula, left: tuple[str, int], right: tuple[str, int]):
-        left_floor = level
-        if level == _LEVEL_LATTICE and type(node.left) is not type(node):
-            # a same-operator left chain may continue unparenthesized, the
-            # other lattice operator may not (mixing needs parentheses)
-            left_floor = _LEVEL_OPLUS
-        return f"{_wrap(left, left_floor)} {symbol} {_wrap(right, right_floor)}", level
-
-    return op
-
-
-def _negation(node: Formula, child: tuple[str, int]) -> tuple[str, int]:
-    return "~" + _wrap(child, _LEVEL_UNARY), _LEVEL_UNARY
-
-
-_PRINT = {
-    Var: lambda node: (f"X{node.index}", _LEVEL_ATOM),
-    Not: _negation,
-    Neg: _negation,
-    Otimes: _infix("(*)", _LEVEL_OTIMES, _LEVEL_UNARY),
-    Oplus: _infix("(+)", _LEVEL_OPLUS, _LEVEL_OTIMES),
-    And: _infix("/\\", _LEVEL_LATTICE, _LEVEL_OPLUS),
-    Meet: _infix("/\\", _LEVEL_LATTICE, _LEVEL_OPLUS),
-    Or: _infix("\\/", _LEVEL_LATTICE, _LEVEL_OPLUS),
-    Join: _infix("\\/", _LEVEL_LATTICE, _LEVEL_OPLUS),
+_LEVEL = {
+    Var: _LEVEL_ATOM,
+    Not: _LEVEL_UNARY,
+    Neg: _LEVEL_UNARY,
+    Otimes: _LEVEL_OTIMES,
+    Oplus: _LEVEL_OPLUS,
+    And: _LEVEL_LATTICE,
+    Meet: _LEVEL_LATTICE,
+    Or: _LEVEL_LATTICE,
+    Join: _LEVEL_LATTICE,
 }
+
+# infix spelling and the level below which the right operand is wrapped
+_INFIX = {
+    Otimes: (" (*) ", _LEVEL_UNARY),
+    Oplus: (" (+) ", _LEVEL_OTIMES),
+    And: (" /\\ ", _LEVEL_OPLUS),
+    Meet: (" /\\ ", _LEVEL_OPLUS),
+    Or: (" \\/ ", _LEVEL_OPLUS),
+    Join: (" \\/ ", _LEVEL_OPLUS),
+}
+
+
+def _to_text(formula: Formula) -> str:
+    """Minimal-parenthesis text, in time linear in the output.
+
+    Whether an operand is wrapped depends only on its type and its parent's,
+    so the text pieces are written left to right from a stack of pending
+    pieces and nodes, and joined once.
+    """
+    parts: list[str] = []
+    stack: list[object] = [formula]
+
+    def push(child: Formula, floor: int) -> None:
+        # pushed in reverse, so "(" comes off the stack first
+        if _LEVEL.get(type(child), _LEVEL_ATOM) < floor:
+            stack.extend((")", child, "("))
+        else:
+            stack.append(child)
+
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is str:
+            parts.append(item)
+        elif kind is Var:
+            parts.append(f"X{item.index}")
+        elif kind in _INFIX:
+            symbol, right_floor = _INFIX[kind]
+            level = _LEVEL[kind]
+            left_floor = level
+            if level == _LEVEL_LATTICE and type(item.left) is not kind:
+                # a same-operator left chain may continue unparenthesized, the
+                # other lattice operator may not (mixing needs parentheses)
+                left_floor = _LEVEL_OPLUS
+            push(item.right, right_floor)
+            stack.append(symbol)
+            push(item.left, left_floor)
+        elif kind is Not or kind is Neg:
+            parts.append("~")
+            push(item.child, _LEVEL_UNARY)
+        else:
+            raise TypeError(f"unexpected node {kind.__name__}")
+    return "".join(parts)
 
 
 def luk_to_text(formula: LukFormula) -> str:
     """Render a many-valued formula with minimal parentheses."""
-    return fold(formula, _PRINT)[0]
+    return _to_text(formula)
 
 
 def bool_to_text(formula: BoolFormula) -> str:
     """Render a boolean formula with minimal parentheses."""
-    return fold(formula, _PRINT)[0]
+    return _to_text(formula)
 
 
 # ---------------------------------------------------------------------------

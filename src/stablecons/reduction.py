@@ -5,13 +5,20 @@ The pipeline: negation normal form, the literal-wise many-valued translation
 the grid-forcing antecedent whose models are exactly those lifted points, and
 the full reduction producing an antecedent/consequent pair together with size
 statistics.
+
+``nnf`` and ``ddagger`` are one pass each that carries the polarity of every
+node down the tree and builds only the image it returns.  The reduction
+builds only what a verdict reads: ``reduce_instance`` builds the consequent,
+and the antecedent and the size statistics are built the first time they are
+read.  The grid check reads the antecedent only to re-verify a countermodel,
+and no verdict reads the statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Any, Mapping
 
 from .formulas import (
@@ -47,21 +54,39 @@ class InstanceError(ValueError):
 # formula transforms
 
 
-def _nnf_pairs(formula: BoolFormula, positive, negative, conj, disj):
-    """The images of the NNF of ``formula`` and of its negation, in one fold.
+def _nnf_image(formula: BoolFormula, positive, negative, conj, disj):
+    """The image of the NNF of ``formula``, built in one pass.
 
-    Literals become ``positive(x)`` and ``negative(x)``, conjunction and
-    disjunction ``conj`` and ``disj``; a negation swaps its child's pair.
+    A pre-order walk carries each node's polarity, flipping it under every
+    ``Not``; a post-order build then maps a literal to ``positive(x)`` or
+    ``negative(x)`` and a conjunction or disjunction to ``conj`` or
+    ``disj``, swapped under odd polarity (De Morgan).  Only the returned
+    image is built.
     """
-    return fold(
-        formula,
-        {
-            Var: lambda node: (positive(node), negative(node)),
-            Not: lambda node, child: (child[1], child[0]),
-            And: lambda node, a, b: (conj(a[0], b[0]), disj(a[1], b[1])),
-            Or: lambda node, a, b: (disj(a[0], b[0]), conj(a[1], b[1])),
-        },
-    )
+    signed: list[tuple[BoolFormula, bool]] = []
+    stack = [(formula, True)]
+    while stack:
+        node, positive_sign = stack.pop()
+        kind = type(node)
+        if kind is Not:
+            stack.append((node.child, not positive_sign))
+            continue
+        signed.append((node, positive_sign))
+        if kind is And or kind is Or:
+            stack.append((node.left, positive_sign))
+            stack.append((node.right, positive_sign))
+        elif kind is not Var:
+            raise TypeError(f"unexpected node {kind.__name__}")
+    results: list = []
+    for node, positive_sign in reversed(signed):  # children first, left first
+        kind = type(node)
+        if kind is Var:
+            results.append(positive(node) if positive_sign else negative(node))
+        else:
+            right = results.pop()
+            combine = conj if (kind is And) == positive_sign else disj
+            results[-1] = combine(results[-1], right)
+    return results[0]
 
 
 def nnf(formula: BoolFormula) -> BoolFormula:
@@ -69,25 +94,27 @@ def nnf(formula: BoolFormula) -> BoolFormula:
 
     Equivalent over 0/1 and preserves the multiset of variable occurrences.
     """
-    return _nnf_pairs(formula, lambda x: x, Not, And, Or)[0]
+    return _nnf_image(formula, lambda x: x, Not, And, Or)
 
 
 def ddagger(formula: BoolFormula) -> LukFormula:
     """Literal-wise many-valued translation of a boolean formula.
 
-    After normalizing to NNF, a positive literal X becomes ``~X \\/ (X (+) X)``
-    and a negated literal ~X becomes ``X \\/ ~(X (*) X)``; conjunction and
-    disjunction map to ``Meet`` and ``Join``.  At a point lifted with
+    The formula is read in negation normal form: a positive literal X becomes
+    ``~X \\/ (X (+) X)`` and a negated literal ~X becomes
+    ``X \\/ ~(X (*) X)``; conjunction and disjunction map to ``Meet`` and
+    ``Join``.  The NNF is not built on its own: one pass carries each node's
+    polarity and builds only the translation.  At a point lifted with
     parameter e the value is exactly 1 when the boolean formula is satisfied
     and exactly e/(e+1) otherwise.
     """
-    return _nnf_pairs(
+    return _nnf_image(
         formula,
         lambda x: Join(Neg(x), Oplus(x, x)),
         lambda x: Join(x, Neg(Otimes(x, x))),
         Meet,
         Join,
-    )[0]
+    )
 
 
 def grid_values(e: int) -> tuple[Fraction, Fraction]:
@@ -251,13 +278,41 @@ class ReductionStats:
 
 @dataclass(frozen=True)
 class ReductionOutput:
-    """Antecedent/consequent pair produced from one instance."""
+    """Antecedent/consequent pair produced from one instance.
 
-    theta: LukFormula
+    The consequent ``phi``, the grid parameter ``e``, the variable map, the
+    normalized instance and its variable count ``n`` are built by
+    ``reduce_instance``.  The grid antecedent ``theta`` and the size
+    accounting ``stats`` are built on first read and then cached: the grid
+    check scans the grid points directly and reads ``theta`` only to
+    re-verify a countermodel, and no verdict reads ``stats``.
+    """
+
     phi: LukFormula
     e: int
     var_map: dict[int, int]  # original index -> normalized index
-    stats: ReductionStats
+    instance: StableInstance  # the variable-normalized instance
+    n: int
+
+    @cached_property
+    def theta(self) -> LukFormula:
+        return constraint_formula(self.n, self.e)
+
+    @cached_property
+    def stats(self) -> ReductionStats:
+        """Lengths in the unary-index alphabet, taken on the normalized
+        instance, and the ratio output/(n * instance)."""
+        inst_len = instance_length(self.instance)
+        out_len = (
+            measure(self.theta).paper_symbol_count
+            + measure(self.phi).paper_symbol_count
+        )
+        return ReductionStats(
+            instance_length=inst_len,
+            output_length=out_len,
+            n=self.n,
+            ratio=Fraction(out_len, self.n * inst_len),
+        )
 
 
 def _rename(formula: BoolFormula, mapping: Mapping[int, int]) -> BoolFormula:
@@ -322,22 +377,19 @@ def consequent(instance: StableInstance, e: int) -> LukFormula:
 
 
 def reduce_instance(instance: StableInstance) -> ReductionOutput:
-    """The full reduction: grid antecedent, consequent, and size accounting.
+    """The full reduction: consequent now, grid antecedent and size
+    accounting on first read.
 
-    The instance is variable-normalized first; lengths and the ratio
-    output/(n * instance) are measured on the normalized instance in the
-    unary-index alphabet.
+    The instance is variable-normalized first, and e = max(2, the largest
+    deletion count).  ``theta`` and ``stats`` of the result are built only
+    when they are read (see ``ReductionOutput``).
     """
     normalized, var_map = normalize_variables(instance)
     e = max(2, max(group.delete_count for group in normalized.groups))
-    theta = constraint_formula(normalized.n, e)
-    phi = consequent(normalized, e)
-    inst_len = instance_length(normalized)
-    out_len = measure(theta).paper_symbol_count + measure(phi).paper_symbol_count
-    stats = ReductionStats(
-        instance_length=inst_len,
-        output_length=out_len,
+    return ReductionOutput(
+        phi=consequent(normalized, e),
+        e=e,
+        var_map=var_map,
+        instance=normalized,
         n=normalized.n,
-        ratio=Fraction(out_len, normalized.n * inst_len),
     )
-    return ReductionOutput(theta=theta, phi=phi, e=e, var_map=var_map, stats=stats)

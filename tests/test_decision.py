@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import stablecons.decision
+import stablecons.reduction
 from stablecons import (
     CONSEQUENCE,
     COUNTERMODEL,
@@ -79,7 +80,7 @@ def holding_only_at(bits):
 
 def scalar_grid_check(output):
     """Reference for the grid check: one Fraction point at a time."""
-    for bits in itertools.product((0, 1), repeat=output.stats.n):
+    for bits in itertools.product((0, 1), repeat=output.n):
         point = lift_point(dict(enumerate(bits, start=1)), output.e)
         if eval_luk(output.phi, point) != 1:
             return COUNTERMODEL, point
@@ -256,6 +257,45 @@ class TestCheckConsequenceRho:
         verdict = check_consequence_rho(output)
         assert verdict.kind == CONSEQUENCE and verdict.certified
         assert calls == [2**10]
+
+
+def spy_on_reduction(monkeypatch, *names):
+    """Record each call of the named ``stablecons.reduction`` functions."""
+    calls = []
+    for name in names:
+        def spying(*args, name=name, original=getattr(stablecons.reduction, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(stablecons.reduction, name, spying)
+    return calls
+
+
+class TestGridCheckReadsOnlyWhatItNeeds:
+    def test_a_stable_instance_builds_no_antecedent_and_no_stats(self, monkeypatch):
+        instance = instance_of(
+            3, (("X2", "X2 /\\ (X1 \\/ X3)"), 1), (("~X2",), 0)
+        )
+        calls = spy_on_reduction(
+            monkeypatch, "constraint_formula", "measure", "instance_length"
+        )
+        verdict = check_consequence_rho(reduce_instance(instance))
+        assert verdict.kind == CONSEQUENCE and verdict.certified
+        assert calls == []
+
+    def test_a_countermodel_builds_the_antecedent_once(self, monkeypatch):
+        bits = bits_of(5, 4)
+        output = reduce_instance(holding_only_at(bits))
+        calls = spy_on_reduction(
+            monkeypatch, "constraint_formula", "measure", "instance_length"
+        )
+        verdict = check_consequence_rho(output)
+        assert verdict.witness == lift_point(bits, output.e)
+        assert calls == ["constraint_formula"]
+        theta = output.theta
+        assert output.theta is theta
+        assert calls == ["constraint_formula"]
+        assert eval_luk(theta, verdict.witness) == 1
 
 
 class TestFindCountermodel:

@@ -33,6 +33,8 @@ from stablecons import (
 )
 from formula_strategies import bool_formulas, luk_formulas, valuations_over
 
+from stablecons.formulas import fold
+
 
 class TestParseBool:
     def test_single_variable(self):
@@ -223,6 +225,10 @@ class TestPrinting:
         assert luk_to_text(Meet(Join(Var(1), Var(2)), Var(3))) == "(X1 \\/ X2) /\\ X3"
         assert bool_to_text(And(Not(Var(1)), Var(2))) == "~X1 /\\ X2"
         assert bool_to_text(Not(And(Var(1), Var(2)))) == "~(X1 /\\ X2)"
+        formula = Meet(Meet(Join(Var(1), Var(2)), Join(Var(3), Var(4))), Var(5))
+        assert luk_to_text(formula) == "(X1 \\/ X2) /\\ (X3 \\/ X4) /\\ X5"
+        formula = Neg(Otimes(Neg(Oplus(Var(1), Var(2))), Meet(Var(3), Var(4))))
+        assert luk_to_text(formula) == "~(~(X1 (+) X2) (*) (X3 /\\ X4))"
 
     @given(bool_formulas())
     def test_bool_round_trip(self, formula):
@@ -238,6 +244,73 @@ class TestPrinting:
         assert eval_luk(parse_luk(luk_to_text(formula)), point) == eval_luk(
             formula, point
         )
+
+
+# test-local reference printer: the minimal-parenthesis rules as a fold over
+# (text, level) pairs, which copies every child's text into its parent's
+LATTICE, OPLUS, OTIMES, UNARY, ATOM = range(5)
+
+
+def wrap(printed, floor):
+    text, level = printed
+    return f"({text})" if level < floor else text
+
+
+def infix(symbol, level, right_floor):
+    def op(node, left, right):
+        left_floor = level
+        if level == LATTICE and type(node.left) is not type(node):
+            left_floor = OPLUS
+        return f"{wrap(left, left_floor)} {symbol} {wrap(right, right_floor)}", level
+
+    return op
+
+
+def negation(node, child):
+    return "~" + wrap(child, UNARY), UNARY
+
+
+FOLD_PRINTER = {
+    Var: lambda node: (f"X{node.index}", ATOM),
+    Not: negation,
+    Neg: negation,
+    Otimes: infix("(*)", OTIMES, UNARY),
+    Oplus: infix("(+)", OPLUS, OTIMES),
+    And: infix("/\\", LATTICE, OPLUS),
+    Meet: infix("/\\", LATTICE, OPLUS),
+    Or: infix("\\/", LATTICE, OPLUS),
+    Join: infix("\\/", LATTICE, OPLUS),
+}
+
+
+class TestLinearPrinter:
+    @given(luk_formulas(max_leaves=40))
+    def test_luk_text_matches_the_fold_printer(self, formula):
+        assert luk_to_text(formula) == fold(formula, FOLD_PRINTER)[0]
+
+    @given(bool_formulas(max_leaves=40))
+    def test_bool_text_matches_the_fold_printer(self, formula):
+        assert bool_to_text(formula) == fold(formula, FOLD_PRINTER)[0]
+
+    def test_deep_left_and_right_chains(self):
+        left = right = Var(1)
+        for i in range(2, 20_000):
+            left = Oplus(left, Neg(Var(i)))
+            right = Otimes(Var(i), right)
+        assert luk_to_text(left) == " (+) ".join(
+            ["X1"] + [f"~X{i}" for i in range(2, 20_000)]
+        )
+        text = luk_to_text(right)
+        opened = " (*) (".join(f"X{i}" for i in range(19_999, 1, -1))
+        assert text == opened + " (*) X1" + ")" * 19_997
+        assert parse_luk(text) == right
+
+    def test_unknown_node_is_a_type_error(self):
+        class Box:
+            pass
+
+        with pytest.raises(TypeError, match="unexpected node Box"):
+            luk_to_text(Oplus(Var(1), Box()))
 
 
 class TestNodeEquality:

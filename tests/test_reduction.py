@@ -2,12 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from stablecons import (
     And,
     FormulaGroup,
+    HarnessLimits,
     InstanceError,
     Join,
     Meet,
@@ -37,6 +39,7 @@ from stablecons import (
     parse_bool,
     power,
     random_bool_formula,
+    random_instance,
     reduce_instance,
     variable_occurrences,
     variables,
@@ -44,6 +47,7 @@ from stablecons import (
 from formula_strategies import bool_formulas
 
 from stablecons.decision import denominator_bounded_fractions
+from stablecons.formulas import _nodes, fold
 
 
 def assignments_over(indices):
@@ -119,6 +123,90 @@ class TestDdagger:
                     assert value == 1
                 else:
                     assert value == low_value
+
+
+def two_image_fold(formula, positive, negative, conj, disj):
+    """Test-local reference: the images of the NNF of ``formula`` and of its
+    negation, built side by side in one fold; a negation swaps the pair."""
+    return fold(
+        formula,
+        {
+            Var: lambda node: (positive(node), negative(node)),
+            Not: lambda node, child: (child[1], child[0]),
+            And: lambda node, a, b: (conj(a[0], b[0]), disj(a[1], b[1])),
+            Or: lambda node, a, b: (disj(a[0], b[0]), conj(a[1], b[1])),
+        },
+    )[0]
+
+
+def reference_nnf(formula):
+    return two_image_fold(formula, lambda x: x, Not, And, Or)
+
+
+def reference_ddagger(formula):
+    return two_image_fold(
+        formula,
+        lambda x: Join(Neg(x), Oplus(x, x)),
+        lambda x: Join(x, Neg(Otimes(x, x))),
+        Meet,
+        Join,
+    )
+
+
+NODE_TYPES = (Var, Not, And, Or, Neg, Oplus, Otimes, Meet, Join)
+
+
+class TestOnePassTranslation:
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 6),
+        st.integers(0, 14),
+        st.integers(0, 3),
+    )
+    def test_matches_the_two_image_fold(self, seed, n, size, negations):
+        formula = random_bool_formula(random.Random(seed), n, size)
+        for _ in range(negations):
+            formula = Not(formula)
+        assert nnf(formula) == reference_nnf(formula)
+        assert ddagger(formula) == reference_ddagger(formula)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "~(X1 /\\ X2)",
+            "~(X1 \\/ ~X2)",
+            "~~(X1 /\\ ~(X2 \\/ X3))",
+            "~(~(X1 /\\ X2) \\/ ~~~(X3 /\\ ~X1))",
+            "X1 /\\ ~(~X2 \\/ ~(X3 /\\ X4))",
+        ],
+    )
+    def test_negation_over_connectives(self, text):
+        formula = parse_bool(text)
+        assert nnf(formula) == reference_nnf(formula)
+        assert ddagger(formula) == reference_ddagger(formula)
+
+    @pytest.mark.parametrize("translate", [nnf, ddagger])
+    def test_builds_no_node_outside_its_result(self, monkeypatch, translate):
+        made = []
+        for kind in NODE_TYPES:
+            def counting(node, *fields, original=kind.__init__):
+                original(node, *fields)
+                made.append(node)
+
+            monkeypatch.setattr(kind, "__init__", counting)
+        rng = random.Random(8080)
+        for size in range(12):
+            formula = Not(random_bool_formula(rng, 4, size))
+            made.clear()
+            image = translate(formula)
+            connectives = {id(node) for node in _nodes(image) if type(node) is not Var}
+            assert len(made) == len(connectives)
+            assert {id(node) for node in made} == connectives
+
+    def test_deep_negations_do_not_recurse(self):
+        formula = parse_bool("~" * 100_001 + "(X1 /\\ X2)")
+        assert nnf(formula) == Or(Not(Var(1)), Not(Var(2)))
+        assert ddagger(formula) == Join(ddagger(Not(Var(1))), ddagger(Not(Var(2))))
 
 
 class TestLiftPoint:
@@ -334,6 +422,31 @@ class TestReduce:
             + measure(output.phi).paper_symbol_count
         )
         assert stats.ratio == Fraction(stats.output_length, stats.n * stats.instance_length)
+
+    def test_stats_match_an_eager_reference(self):
+        rng = random.Random(6061)
+        renumbered = 0
+        for _ in range(80):
+            instance = random_instance(rng, HarnessLimits(max_vars=6))
+            output = reduce_instance(instance)
+            normalized, _ = normalize_variables(instance)
+            renumbered += normalized is not instance
+            theta = constraint_formula(normalized.n, output.e)
+            inst_len = instance_length(normalized)
+            out_len = (
+                measure(theta).paper_symbol_count
+                + measure(consequent(normalized, output.e)).paper_symbol_count
+            )
+            stats = output.stats
+            assert (stats.instance_length, stats.output_length, stats.n) == (
+                inst_len,
+                out_len,
+                normalized.n,
+            )
+            assert stats.ratio == Fraction(out_len, normalized.n * inst_len)
+            assert (output.n, output.instance) == (normalized.n, normalized)
+            assert output.theta == theta
+        assert renumbered > 10
 
     def test_normalized_variables_reported(self):
         instance = instance_from_json(
