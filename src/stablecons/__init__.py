@@ -51,7 +51,6 @@ from .formulas import (
     parse_bool,
     parse_luk,
     power,
-    variable_occurrences,
     variables,
 )
 from .reduction import (
@@ -63,11 +62,9 @@ from .reduction import (
     constraint_formula,
     consequent,
     ddagger,
-    grid_values,
     instance_from_json,
     instance_length,
     instance_to_json,
-    lift_point,
     nnf,
     normalize_variables,
     reduce_instance,

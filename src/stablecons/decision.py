@@ -14,11 +14,13 @@
 Both consequence checks run on one exact lattice scan, ``_scan``.  Their
 points have coordinates k/L for a fixed L (e+1 on the grid, the lcm of
 1..max_denominator in pair mode), so the scan evaluates the formulas on
-integer numerators with ``eval_luk_lattice``, in the narrowest integer dtype
-that holds every intermediate value in [-L, 2L] (int8 on every grid with
-e <= 62); L must stay below 2**62, which admits max_denominator <= 42.  Each
-formula is compiled once per scan into a straight-line program that computes
-each distinct subterm once.  The points fall into rows: a row fixes the
+integer numerators, in the narrowest integer dtype that holds every value in
+[0, L] (int8 on every grid with e <= 126); L must stay below 2**63, which
+admits max_denominator <= 42.  The axis is checked once per scan by
+``lattice_axis``, and each formula is compiled once per scan into a
+straight-line program that computes each distinct subterm once; every batch
+then runs the programs with the runner ``semantics._run`` directly.  The
+points fall into rows: a row fixes the
 leading variables and runs the last few, enough for 64 points, over the
 whole axis; a scan of at most ``_WHOLE_SCAN`` points is one row.  Rows are
 scanned in order, in batches of 64 points growing four-fold up to
@@ -71,12 +73,12 @@ from .reduction import (
 )
 from .semantics import (
     ONE,
-    LukProgram,
     _bound_luk_lattice,
+    _lattice_connectives,
+    _run,
     compile_luk,
     eval_bool,
     eval_luk,
-    eval_luk_lattice,
     lattice_axis,
     valuation_to_json,
 )
@@ -283,7 +285,7 @@ def find_countermodel(
     consequent < 1) or ``inconclusive_at_bound``.  Sound as a refuter always;
     complete only when the bound covers the pair's true vertex denominators.
     The points are scanned by ``_scan`` on integer numerators over
-    L = lcm(1..max_denominator), which must stay below 2**62, so bounds past
+    L = lcm(1..max_denominator), which must stay below 2**63, so bounds past
     42 raise ``ValueError`` before any scan.  Rows whose bounds rule out a
     countermodel are dropped unscanned; each batch evaluates the antecedent
     first and the consequent only at the antecedent's models; the witness is
@@ -318,7 +320,8 @@ def _scan(
     one coordinate per variable of ``var_order``.  Points are scanned in
     lexicographic order of their axis positions, the last variable varying
     fastest.  ``L`` and the axis are checked once, by ``lattice_axis``, which
-    also fixes the dtype of every slab; theta and phi are compiled once.
+    also fixes the dtype of every slab; theta and phi are compiled once, and
+    the table of lattice connectives is built once.
 
     The points fall into rows: a row fixes the first m-k variables and runs
     the last k over the whole axis, with k the smallest value (at least 1,
@@ -342,6 +345,8 @@ def _scan(
     every row.  Returns the first hit's numerators, or None.
     """
     values = lattice_axis(axis, L)
+    top = values.dtype.type(L)
+    table = _lattice_connectives(top)
     theta_program = None if theta is None else compile_luk(theta)
     phi_program = compile_luk(phi)
     base, m = len(values), len(var_order)
@@ -359,14 +364,14 @@ def _scan(
             fresh = _row_positions(taken, count, base, m - k)
             if theta is not None:
                 fresh = _viable_rows(
-                    theta_program, phi_program, var_order, values, L, fresh
+                    theta_program, phi_program, var_order, values, top, fresh
                 )
             taken += count
             pending = np.concatenate((pending, fresh))
         if not len(pending):
             return None
         hit = _scan_rows(
-            theta_program, phi_program, var_order, values, L, pending[:wanted]
+            theta_program, phi_program, var_order, values, top, table, pending[:wanted]
         )
         if hit is not None:
             return hit
@@ -404,11 +409,11 @@ def _row_positions(first: int, count: int, base: int, width: int) -> np.ndarray:
 
 
 def _viable_rows(
-    theta: LukProgram,
-    phi: LukProgram,
+    theta: tuple[tuple, ...],
+    phi: tuple[tuple, ...],
     var_order: Sequence[int],
     values: np.ndarray,
-    L: int,
+    top: np.integer,
     rows: np.ndarray,
 ) -> np.ndarray:
     """The rows on which a countermodel is not ruled out by bounds.
@@ -418,13 +423,12 @@ def _viable_rows(
     encloses theta and phi over every box at once, on arrays of at most
     two entries per row.  A row stays when theta's upper bound is L, and
     then phi's lower bound is below L; phi is bounded only on the rows that
-    theta keeps.
+    theta keeps.  ``top`` is L in the dtype of ``values``.
     """
-    top = values.dtype.type(L)
     width = rows.shape[1]
     whole = np.array([[values.min()], [values.max()]], dtype=values.dtype)
 
-    def bounds(program: LukProgram, rows: np.ndarray) -> np.ndarray:
+    def bounds(program: tuple[tuple, ...], rows: np.ndarray) -> np.ndarray:
         binding = {index: whole for index in var_order[width:]}
         for index, column in zip(var_order, rows.T):
             binding[index] = values[column][None]  # a point: lower = upper
@@ -437,11 +441,12 @@ def _viable_rows(
 
 
 def _scan_rows(
-    theta: LukProgram | None,
-    phi: LukProgram,
+    theta: tuple[tuple, ...] | None,
+    phi: tuple[tuple, ...],
     var_order: Sequence[int],
     values: np.ndarray,
-    L: int,
+    top: np.integer,
+    table: dict,
     rows: np.ndarray,
 ) -> tuple[int, ...] | None:
     """First hit among the points of some rows, as one broadcast slab.
@@ -451,13 +456,14 @@ def _scan_rows(
     whole axis on its own broadcast dimension.  One row binds its leading
     coordinates as scalars of the axis dtype; several bind each as an array
     along one first dimension that they share, one entry per row, so the
-    slab's C order is the scan order either way.  With theta given, theta is evaluated on the slab and
-    phi only on the points where theta = L, gathered in C order by
-    ``np.nonzero``.
+    slab's C order is the scan order either way.  The programs run on that
+    binding with ``table``, the lattice connectives over ``top``, which is L
+    in the dtype of ``values``: the axis is already checked.  With theta
+    given, theta is evaluated on the slab and phi only on the points where
+    theta = L, gathered in C order by ``np.nonzero``.
     """
     base = len(values)
     k = len(var_order) - rows.shape[1]
-    top = values.dtype.type(L)
     axes = [values.reshape((base,) + (1,) * (k - 1 - t)) for t in range(k)]
     shape = (base,) * k
     if len(rows) == 1:
@@ -467,7 +473,7 @@ def _scan_rows(
         axes = [values[column].reshape((-1,) + (1,) * k) for column in rows.T] + axes
         shape = (len(rows),) + shape
     if theta is not None:
-        value = eval_luk_lattice(theta, var_order, fixed + axes, L)
+        value = _run(theta, dict(zip(var_order, fixed + axes)), table)
         models = np.broadcast_to(value == top, shape)
         if not models.any():  # cheaper than an empty np.nonzero
             return None
@@ -475,7 +481,7 @@ def _scan_rows(
         lead = [values[column[models[0]]] for column in rows.T] if len(rows) > 1 else []
         axes = lead + [values[position] for position in models[-k:]]
         shape = models[0].shape
-    value = eval_luk_lattice(phi, var_order, fixed + axes, L)
+    value = _run(phi, dict(zip(var_order, fixed + axes)), table)
     misses = np.broadcast_to(value < top, shape)
     first = int(misses.argmax())
     if not misses.flat[first]:

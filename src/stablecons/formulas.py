@@ -35,7 +35,6 @@ the tokens of one compiled regular expression.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Union
 
@@ -250,11 +249,6 @@ def fold(formula: Formula, table: Mapping[type, Callable[..., Any]]) -> Any:
 def variables(formula: Formula) -> set[int]:
     """Indices of all variables occurring in the formula."""
     return {node.index for node in _nodes(formula) if isinstance(node, Var)}
-
-
-def variable_occurrences(formula: Formula) -> Counter[int]:
-    """Multiset of variable occurrences, keyed by index."""
-    return Counter(node.index for node in _nodes(formula) if isinstance(node, Var))
 
 
 def connective_count(formula: Formula) -> int:

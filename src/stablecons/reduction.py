@@ -117,28 +117,6 @@ def ddagger(formula: BoolFormula) -> LukFormula:
     )
 
 
-def grid_values(e: int) -> tuple[Fraction, Fraction]:
-    """The two coordinates 1/(e+1) and e/(e+1) of the lifted grid."""
-    if e < 2:
-        raise ValueError(f"grid parameter must be >= 2, got {e}")
-    return Fraction(1, e + 1), Fraction(e, e + 1)
-
-
-def lift_point(assignment: Mapping[int, int], e: int) -> dict[int, Fraction]:
-    """Move a 0/1 assignment to the interior point at distance 1/(e+1).
-
-    Coordinate i becomes 1/(e+1) when the bit is 0 and e/(e+1) when it is 1.
-    Requires e >= 2 so the two images stay in order.
-    """
-    low, high = grid_values(e)
-    lifted: dict[int, Fraction] = {}
-    for index, bit in assignment.items():
-        if bit not in (0, 1):
-            raise ValueError(f"X{index} must be assigned 0 or 1, got {bit!r}")
-        lifted[index] = high if bit else low
-    return lifted
-
-
 def constraint_formula(n: int, e: int) -> LukFormula:
     """Antecedent whose models assign every X_t a value in {1/(e+1), e/(e+1)}.
 

@@ -11,24 +11,28 @@ this and compute on integer numerators.  The scalar reference evaluator
 takes D, the lcm of the valuation's denominators, folds Python ints (which
 have no size cap) over the formula tree and returns the result as a
 ``Fraction`` over D.  The batch evaluator works on the integer lattice
-{0, 1/L, ..., L/L}: truncated addition and its dual, min, max and complement
-all stay on the lattice and every intermediate value lies in [-L, 2L], so
-fixed-width integer arithmetic is exact in the narrowest signed dtype that
-holds 2L (int8 up to L = 63, int16, int32, then int64 up to L < 2**62), and
-enumeration-heavy searches can be vectorized.  It runs a formula compiled by
-``compile_luk`` into a straight-line program with one instruction per
-distinct subterm, and takes one broadcastable array per variable, so a
-search can lay its points out as a grid of axes and compute each subformula
-only on the axes of the variables it mentions.  The same runner, given
-stacked (lower, upper) numerators and a negation that swaps the two, bounds
-a program over boxes of lattice points (interval evaluation), since every
-connective is monotone in each argument and negation is antitone.
+{0, 1/L, ..., L/L}.  Its connectives are written so that every intermediate
+value stays in [0, L], so fixed-width integer arithmetic is exact in the
+narrowest signed dtype that holds L (int8 up to L = 127, int16, int32, then
+int64 up to L = 2**63 - 1), and enumeration-heavy searches can be
+vectorized.  It runs a formula compiled by ``compile_luk`` into a
+straight-line program with one instruction per distinct subterm, and takes
+one broadcastable array per variable, so a search can lay its points out as
+a grid of axes and compute each subformula only on the axes of the variables
+it mentions.  ``eval_luk_lattice`` is the checked entry: it checks and
+converts every coordinate array with ``lattice_axis`` and compiles the
+formula on each call.  A search that checks its axis once and runs many
+batches compiles once and calls the runner, ``_run``, itself.  The same
+runner, given stacked (lower, upper) numerators and a negation that swaps
+the two, bounds a program over boxes of lattice points (interval
+evaluation), since every connective is monotone in each argument and
+negation is antitone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -152,20 +156,20 @@ def eval_bool(formula: BoolFormula, assignment: BoolAssignment) -> int:
     return fold(formula, {**_BOOL, Var: _lookup(assignment)})
 
 
-# each dtype with the largest L for which it holds [-L, 2L]
+# each dtype with the largest L it holds
 _LATTICE_DTYPES = [
-    (np.iinfo(dtype).max // 2, np.dtype(dtype))
+    (np.iinfo(dtype).max, np.dtype(dtype))
     for dtype in (np.int8, np.int16, np.int32, np.int64)
 ]
 
 
 def _lattice_dtype(denominator: int) -> np.dtype:
-    """The narrowest signed integer dtype holding every value in [-L, 2L].
+    """The narrowest signed integer dtype holding every value in [0, L].
 
     Every intermediate value of the connectives over L = ``denominator``
-    lies there, in their textbook forms min(L, a + b) and max(0, a + b - L)
-    and in the forms of ``_lattice_connectives`` alike, so arithmetic in
-    this dtype is exact.  L must satisfy 1 <= L < 2**62, the bound for int64.
+    lies there in the forms of ``_lattice_connectives``, so arithmetic in
+    this dtype is exact.  L must satisfy 1 <= L <= 2**63 - 1, the bound for
+    int64.
     """
     L = int(denominator)
     if L < 1:
@@ -179,18 +183,26 @@ def _lattice_dtype(denominator: int) -> np.dtype:
 def lattice_axis(values, denominator: int) -> np.ndarray:
     """``values`` as numerators over ``denominator``, checked, in its dtype.
 
-    The denominator L fixes the dtype (``_lattice_dtype``: int8 for L <= 63,
-    int16 for L <= 16 383, int32 for L < 2**30, int64 below 2**62), in which
-    ``eval_luk_lattice`` stays exact.  L is checked before any value is
-    converted, so an oversized lattice is a ``ValueError``, never an
-    overflow.  Every value must lie in [0, L].
+    The denominator L fixes the dtype (``_lattice_dtype``: int8 for
+    L <= 127, int16 for L <= 32 767, int32 for L < 2**31, int64 below
+    2**63), in which the lattice connectives stay exact.  L is checked
+    before any value is converted, so an oversized lattice is a
+    ``ValueError``, never an overflow.  Every value must be an integer in
+    [0, L]; a float, complex or string coordinate is a ``ValueError``, not
+    truncated.
     """
     L = int(denominator)
     dtype = _lattice_dtype(L)
     arr = np.asarray(values)
     if arr.dtype != dtype:
+        # an object array converts through int(), which truncates 3/2 to 1
+        if arr.dtype.kind not in "biuO" or (
+            arr.dtype.kind == "O"
+            and not all(isinstance(value, numbers.Integral) for value in arr.flat)
+        ):
+            raise ValueError(f"lattice coordinates must be integers, got {arr.dtype}")
         try:
-            arr = np.asarray(values, dtype=np.int64)
+            arr = np.asarray(arr, dtype=np.int64)
         except OverflowError:
             raise ValueError("lattice coordinates must lie in [0, denominator]") from None
     # read as unsigned, a negative value exceeds every L: one reduction
@@ -199,23 +211,15 @@ def lattice_axis(values, denominator: int) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class LukProgram:
-    """A Łukasiewicz formula as a straight-line program, one slot per subterm.
+def compile_luk(formula: LukFormula) -> tuple[tuple, ...]:
+    """Compile a formula into a hash-consed straight-line program.
 
+    The program is a tuple of instructions, one slot per distinct subterm.
     Instruction i computes slot i and is ``(Var, index, None, dead)`` for a
     variable, ``(kind, a, None, dead)`` for a negation of slot a and
     ``(kind, a, b, dead)`` for a binary connective on slots a and b; the
     last instruction computes the root.  ``dead`` lists the slots whose last
-    use is this instruction, so a runner can free them after it.  Build one
-    with ``compile_luk``.
-    """
-
-    code: tuple[tuple, ...]
-
-
-def compile_luk(formula: LukFormula) -> LukProgram:
-    """Compile a formula into a hash-consed straight-line program.
+    use is this instruction, so a runner can free them after it.
 
     One post-order pass numbers the subterms by value: a node's key is
     (``Var``, index) or (type, child slots), so equal subterms share one
@@ -253,19 +257,17 @@ def compile_luk(formula: LukFormula) -> LukProgram:
     # from a list, not a generator: on CPython 3.11, tuple() of a generator
     # left objects that only the cycle collector frees, and a harness run's
     # peak memory grew by about 1.5 MB
-    return LukProgram(tuple([(*key, tuple(freed)) for key, freed in zip(code, dead)]))
+    return tuple([(*key, tuple(freed)) for key, freed in zip(code, dead)])
 
 
 def eval_luk_lattice(
-    formula: LukFormula | LukProgram,
+    formula: LukFormula,
     var_order: Sequence[int],
     numerators: Sequence | np.ndarray,
     denominator: int,
 ) -> np.ndarray:
     """Evaluate one formula at many lattice points at once, exactly.
 
-    ``formula`` is a formula, compiled here, or a program from
-    ``compile_luk``, so that a caller compiles once for many batches.
     ``numerators`` holds one integer array per variable of ``var_order``:
     the coordinates of that variable scaled by ``denominator``.  A 2-D
     array is read column by column, so an (npoints, len(var_order)) matrix
@@ -289,13 +291,12 @@ def eval_luk_lattice(
     binding = {
         index: lattice_axis(values, L) for index, values in zip(var_order, numerators)
     }
-    program = formula if isinstance(formula, LukProgram) else compile_luk(formula)
     top = _lattice_dtype(L).type(L)
-    return _run(program, binding, _lattice_connectives(top))
+    return _run(compile_luk(formula), binding, _lattice_connectives(top))
 
 
 def _bound_luk_lattice(
-    program: LukProgram, binding: Mapping[int, np.ndarray], top
+    program: tuple[tuple, ...], binding: Mapping[int, np.ndarray], top
 ) -> np.ndarray:
     """Exact enclosure of a program's values over boxes of lattice points.
 
@@ -314,10 +315,14 @@ def _bound_luk_lattice(
     return _run(program, binding, table)
 
 
-def _run(program: LukProgram, binding: Mapping[int, object], table: dict):
-    """Run a straight-line program with the connectives of ``table``."""
-    values: list = [None] * len(program.code)
-    for slot, (kind, a, b, dead) in enumerate(program.code):
+def _run(program: tuple[tuple, ...], binding: Mapping[int, object], table: dict):
+    """Run a program of ``compile_luk`` with the connectives of ``table``.
+
+    ``binding`` maps each variable to its value: an array or a scalar, not
+    checked here.
+    """
+    values: list = [None] * len(program)
+    for slot, (kind, a, b, dead) in enumerate(program):
         if kind is Var:
             try:
                 values[slot] = binding[a]

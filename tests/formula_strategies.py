@@ -1,10 +1,13 @@
 """Hypothesis strategies and tiny helpers shared by the test modules."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import hypothesis.strategies as st
 
 from stablecons import And, Join, Meet, Neg, Not, Oplus, Or, Otimes, Var
+from stablecons.formulas import _nodes
 
 
 def bool_formulas(max_index: int = 4, max_leaves: int = 25):
@@ -54,3 +57,30 @@ def random_luk_formula(rng: random.Random, n_vars: int, max_connectives: int):
     right = random_luk_formula(rng, n_vars, max_connectives - 1 - split)
     node = {"oplus": Oplus, "otimes": Otimes, "meet": Meet, "join": Join}[kind]
     return node(left, right)
+
+
+def variable_occurrences(formula) -> Counter:
+    """Multiset of variable occurrences, keyed by index."""
+    return Counter(node.index for node in _nodes(formula) if isinstance(node, Var))
+
+
+def grid_values(e: int) -> tuple[Fraction, Fraction]:
+    """The two coordinates 1/(e+1) and e/(e+1) of the lifted grid."""
+    if e < 2:
+        raise ValueError(f"grid parameter must be >= 2, got {e}")
+    return Fraction(1, e + 1), Fraction(e, e + 1)
+
+
+def lift_point(assignment, e: int) -> dict[int, Fraction]:
+    """Move a 0/1 assignment to the interior point at distance 1/(e+1).
+
+    Coordinate i becomes 1/(e+1) when the bit is 0 and e/(e+1) when it is 1.
+    Requires e >= 2 so the two images stay in order.
+    """
+    low, high = grid_values(e)
+    lifted: dict[int, Fraction] = {}
+    for index, bit in assignment.items():
+        if bit not in (0, 1):
+            raise ValueError(f"X{index} must be assigned 0 or 1, got {bit!r}")
+        lifted[index] = high if bit else low
+    return lifted

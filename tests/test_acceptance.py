@@ -41,7 +41,6 @@ from stablecons import (
     harness_trials,
     implies,
     instance_to_json,
-    lift_point,
     luk_to_text,
     nnf,
     parse_bool,
@@ -51,11 +50,10 @@ from stablecons import (
     random_instance,
     reduce_instance,
     stable_bruteforce,
-    variable_occurrences,
     variables,
 )
 from stablecons.cli import run
-from formula_strategies import random_luk_formula
+from formula_strategies import lift_point, random_luk_formula, variable_occurrences
 
 COUNTERMODEL = "countermodel"
 CONSEQUENCE = "consequence"

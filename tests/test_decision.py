@@ -13,6 +13,7 @@ from hypothesis import given, settings
 
 import stablecons.decision
 import stablecons.reduction
+import stablecons.semantics
 from stablecons import (
     CONSEQUENCE,
     COUNTERMODEL,
@@ -34,7 +35,6 @@ from stablecons import (
     find_countermodel,
     harness_trials,
     instance_from_json,
-    lift_point,
     measure,
     parse_bool,
     parse_luk,
@@ -44,7 +44,7 @@ from stablecons import (
     variables,
 )
 from stablecons.semantics import compile_luk
-from formula_strategies import luk_formulas, random_luk_formula
+from formula_strategies import lift_point, luk_formulas, random_luk_formula
 
 
 def unsatisfiable(formulas, n):
@@ -98,20 +98,24 @@ def scalar_pair_scan(theta, phi, max_denominator):
     return INCONCLUSIVE, None
 
 
-def count_points(monkeypatch, theta):
-    """Spy on the scan's lattice calls: points evaluated for theta and phi."""
-    points = {"theta": 0, "phi": 0}
-    theta_code = compile_luk(theta).code
-    lattice = stablecons.decision.eval_luk_lattice
+def spy_on_scan(monkeypatch):
+    """Spy on the runner the scan calls: (program, points bound) per call."""
+    calls = []
+    run = stablecons.decision._run
 
-    def recording(program, var_order, numerators, denominator):
-        shapes = [np.shape(values) for values in numerators]
-        side = "theta" if program.code == theta_code else "phi"
-        points[side] += math.prod(np.broadcast_shapes(*shapes))
-        return lattice(program, var_order, numerators, denominator)
+    def recording(program, binding, table):
+        shape = np.broadcast_shapes(*(np.shape(value) for value in binding.values()))
+        calls.append((program, math.prod(shape)))
+        return run(program, binding, table)
 
-    monkeypatch.setattr(stablecons.decision, "eval_luk_lattice", recording)
-    return points
+    monkeypatch.setattr(stablecons.decision, "_run", recording)
+    return calls
+
+
+def points_of(calls, formula):
+    """Points at which the spied scan evaluated ``formula``."""
+    program = compile_luk(formula)
+    return sum(points for code, points in calls if code == program)
 
 
 class TestStableBruteforce:
@@ -227,36 +231,37 @@ class TestCheckConsequenceRho:
         # 2**70 grid points; the hit at index 100 sits in the second chunk
         bits = bits_of(100, 70)
         output = reduce_instance(holding_only_at(bits))
-        points = []
-        lattice = stablecons.decision.eval_luk_lattice
-
-        def recording(formula, var_order, numerators, denominator, **options):
-            shapes = [np.shape(values) for values in numerators]
-            points.append(math.prod(np.broadcast_shapes(*shapes)))
-            return lattice(formula, var_order, numerators, denominator, **options)
-
-        monkeypatch.setattr(stablecons.decision, "eval_luk_lattice", recording)
+        calls = spy_on_scan(monkeypatch)
         verdict = check_consequence_rho(output, budget=2**70)
         assert verdict.witness == lift_point(bits, output.e)
-        assert points == [64, 256]
+        assert [points for _, points in calls] == [64, 256]
 
     def test_a_small_grid_is_one_lattice_call(self, monkeypatch):
         # 2**10 points fit one call: the stable grid is scanned once, not
         # as 64, 256 and then 1024 points
         every = " /\\ ".join(f"X{i}" for i in range(1, 11))
         output = reduce_instance(instance_of(10, ((every, "~X10"), 0)))
-        calls = []
-        lattice = stablecons.decision.eval_luk_lattice
-
-        def recording(formula, var_order, numerators, denominator):
-            shapes = [np.shape(values) for values in numerators]
-            calls.append(math.prod(np.broadcast_shapes(*shapes)))
-            return lattice(formula, var_order, numerators, denominator)
-
-        monkeypatch.setattr(stablecons.decision, "eval_luk_lattice", recording)
+        calls = spy_on_scan(monkeypatch)
         verdict = check_consequence_rho(output)
         assert verdict.kind == CONSEQUENCE and verdict.certified
-        assert calls == [2**10]
+        assert [points for _, points in calls] == [2**10]
+
+    def test_the_axis_is_checked_once_per_scan(self, monkeypatch):
+        # 2**13 points take several batches; none of them checks the axis again
+        every = " /\\ ".join(f"X{i}" for i in range(1, 14))
+        output = reduce_instance(instance_of(13, ((every, "~X13"), 0)))
+        checks = []
+        for module in (stablecons.semantics, stablecons.decision):
+            def counting(*args, original=module.lattice_axis):
+                checks.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(module, "lattice_axis", counting)
+        calls = spy_on_scan(monkeypatch)
+        verdict = check_consequence_rho(output)
+        assert verdict.kind == CONSEQUENCE and verdict.certified
+        assert len(calls) > 1
+        assert len(checks) == 1
 
 
 def spy_on_reduction(monkeypatch, *names):
@@ -363,10 +368,11 @@ class TestFindCountermodel:
         # X1 and X2 fixed, theta's upper bound rules out most rows
         phi = parse_luk("(X1 (+) ~X2) (*) (X3 \\/ X4)")
         theta = Otimes(phi, parse_luk("X2 (+) X4 (*) X1"))
-        points = count_points(monkeypatch, theta)
+        calls = spy_on_scan(monkeypatch)
         verdict = find_countermodel(theta, phi, 8)
         assert verdict.kind == INCONCLUSIVE
-        assert points["theta"] + points["phi"] < 23**4  # 23 axis entries at q = 8
+        assert 0 < points_of(calls, theta)
+        assert sum(points for _, points in calls) < 23**4  # 23 axis entries at q = 8
 
 
 class TestWitnessReverification:
@@ -460,15 +466,16 @@ class TestScanShapes:
     # a consequence, so the scan runs to the end; theta = 1 only where every
     # variable is 1, and with q = 5 (11 axis entries, 11**4 points: more than
     # one row even under the default schedule) X1 is fixed on every row, so
-    # the bounds drop the rows with X1 < 1
+    # the bounds drop the rows with X1 < 1; phi mentions only X4, which no
+    # schedule fixes, so the row of ones survives and theta is evaluated there
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_rows_are_dropped_under_every_schedule(self, monkeypatch, schedule):
-        theta, phi = parse_luk("X1 (*) X2 (*) X3 (*) X4"), parse_luk("X4 (+) X3")
-        points = count_points(monkeypatch, theta)
+        theta, phi = parse_luk("X1 (*) X2 (*) X3 (*) X4"), parse_luk("X4 (+) X4")
+        calls = spy_on_scan(monkeypatch)
         with scan_schedule(*schedule):
             verdict = find_countermodel(theta, phi, 5)
         assert (verdict.kind, verdict.witness) == scalar_pair_scan(theta, phi, 5)
-        assert points["theta"] < 11**4
+        assert 0 < points_of(calls, theta) < 11**4
 
     # with n = 17 a row is 64 points; batches of 64, 256, ..., 16384 points
     # cover [0, 21824), then come 65536 and the last 43712
@@ -487,18 +494,10 @@ class TestScanShapes:
     def test_first_hit_at_the_schedule_boundaries(self, monkeypatch, k, chunks):
         bits = bits_of(k, 17)
         output = reduce_instance(holding_only_at(bits))
-        points = []
-        lattice = stablecons.decision.eval_luk_lattice
-
-        def recording(formula, var_order, numerators, denominator, **options):
-            shapes = [np.shape(values) for values in numerators]
-            points.append(math.prod(np.broadcast_shapes(*shapes)))
-            return lattice(formula, var_order, numerators, denominator, **options)
-
-        monkeypatch.setattr(stablecons.decision, "eval_luk_lattice", recording)
+        calls = spy_on_scan(monkeypatch)
         verdict = check_consequence_rho(output)
         assert verdict.witness == lift_point(bits, output.e)
-        assert points == chunks
+        assert [points for _, points in calls] == chunks
 
     @pytest.mark.parametrize("q", [23, 42])
     def test_denominators_past_2_to_the_31(self, q):

@@ -28,10 +28,14 @@ from stablecons import (
     parse_bool,
     parse_luk,
     power,
-    variable_occurrences,
     variables,
 )
-from formula_strategies import bool_formulas, luk_formulas, valuations_over
+from formula_strategies import (
+    bool_formulas,
+    luk_formulas,
+    valuations_over,
+    variable_occurrences,
+)
 
 from stablecons.formulas import fold
 

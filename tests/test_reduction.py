@@ -25,13 +25,11 @@ from stablecons import (
     ddagger,
     eval_bool,
     eval_luk,
-    grid_values,
     iff,
     implies,
     instance_from_json,
     instance_length,
     instance_to_json,
-    lift_point,
     measure,
     multiple,
     nnf,
@@ -41,10 +39,14 @@ from stablecons import (
     random_bool_formula,
     random_instance,
     reduce_instance,
-    variable_occurrences,
     variables,
 )
-from formula_strategies import bool_formulas
+from formula_strategies import (
+    bool_formulas,
+    grid_values,
+    lift_point,
+    variable_occurrences,
+)
 
 from stablecons.decision import denominator_bounded_fractions
 from stablecons.formulas import _nodes, fold

@@ -272,6 +272,16 @@ class TestLatticeEvaluator:
         with pytest.raises(ValueError):
             eval_luk_lattice(Var(1), [1], np.array([[13]]), 12)
 
+    @pytest.mark.parametrize(
+        "coordinates",
+        [[0.5, 1.9], [1.0], [1 + 0j], ["1"], [Fraction(3, 2)], np.array([1.7])],
+    )
+    def test_rejects_non_integer_coordinates(self, coordinates):
+        with pytest.raises(ValueError, match="must be integers"):
+            lattice_axis(coordinates, 2)
+        with pytest.raises(ValueError, match="must be integers"):
+            eval_luk_lattice(parse_luk("X1"), [1], [coordinates], 2)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             eval_luk_lattice(Var(1), [1], np.array([1, 2, 3]), 12)
@@ -299,19 +309,19 @@ class TestLatticeEvaluator:
                 assert Fraction(int(value), L) == eval_luk(formula, point)
 
 
-# The lattice dtype holds [-L, 2L], the range of the connectives' textbook
-# forms; each L below sits on one side of a dtype boundary.
+# The lattice dtype holds [0, L], the range of every intermediate value of
+# the connectives' forms; each L below sits on one side of a dtype boundary.
 DTYPE_BOUNDARIES = [
-    (63, np.int8),
-    (64, np.int16),
-    (16_383, np.int16),
-    (16_384, np.int32),
-    (2**30 - 1, np.int32),
-    (2**30, np.int64),
+    (127, np.int8),
+    (128, np.int16),
+    (32_767, np.int16),
+    (32_768, np.int32),
+    (2**31 - 1, np.int32),
+    (2**31, np.int64),
 ]
 
-# formulas whose textbook forms reach 2L ((+) of two values near L) and -L
-# ((*) of two values near 0) inside, nested under ~, (+) and (*)
+# formulas whose textbook forms would reach 2L ((+) of two values near L) and
+# -L ((*) of two values near 0) inside, nested under ~, (+) and (*)
 EXTREME_FORMULAS = [
     "X1 (+) X2",
     "X1 (*) X2",
@@ -342,8 +352,8 @@ class TestLatticeDtype:
 
     def test_rejects_a_denominator_past_int64(self):
         with pytest.raises(ValueError, match="too large"):
-            lattice_axis([0], 2**62)
-        assert lattice_axis([0], 2**62 - 1).dtype == np.int64
+            lattice_axis([0], 2**63)
+        assert lattice_axis([0], 2**63 - 1).dtype == np.int64
 
     @pytest.mark.parametrize(
         "theta, phi",
@@ -422,13 +432,12 @@ class TestCompiledProgram:
     @given(st.one_of(luk_formulas(), shared_formulas), st.data())
     def test_agrees_with_a_tree_fold(self, formula, data):
         indices = sorted(variables(formula))
-        L = data.draw(st.sampled_from([1, 2, 12, 63, 64, 2520, 2**30, 2**62 - 1]))
+        L = data.draw(st.sampled_from([1, 2, 12, 127, 128, 2520, 2**31, 2**63 - 1]))
         coordinate = st.one_of(st.sampled_from([0, L]), st.integers(0, L))
         rows = data.draw(
             st.lists(st.tuples(*(coordinate for _ in indices)), min_size=1, max_size=6)
         )
-        program = compile_luk(formula)
-        values = eval_luk_lattice(program, indices, np.array(rows, dtype=np.int64), L)
+        values = eval_luk_lattice(formula, indices, np.array(rows, dtype=np.int64), L)
         for row, value in zip(rows, values):
             assert int(value) == int_fold(formula, dict(zip(indices, row)), L)
 
@@ -440,12 +449,12 @@ class TestCompiledProgram:
         with pytest.raises(KeyError) as expected:
             int_fold(formula, point, 2)
         with pytest.raises(UnboundVariableError) as raised:
-            eval_luk_lattice(compile_luk(formula), sorted(point), [1] * len(point), 2)
+            eval_luk_lattice(formula, sorted(point), [1] * len(point), 2)
         assert raised.value.index == expected.value.args[0]
 
     @given(st.one_of(luk_formulas(), shared_formulas))
     def test_one_instruction_per_distinct_subterm(self, formula):
-        code = compile_luk(formula).code
+        code = compile_luk(formula)
         stack = [formula]
         distinct = set()
         while stack:

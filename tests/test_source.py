@@ -48,3 +48,48 @@ def test_a_self_call_is_detected():
         "        return super().g() + self.g()\n"
     )
     assert self_calls(ast.parse(source)) == [("f", 2), ("g", 5)]
+
+
+REPOSITORY = Path(stablecons.__file__).parents[2]
+PROGRAMS = [path for path in SOURCES if path.name != "__init__.py"] + sorted(
+    path for folder in ("bench", "scripts") for path in (REPOSITORY / folder).glob("*.py")
+)
+
+
+def names_read(tree):
+    """Every name a module reads, as a variable or an attribute, outside the
+    top-level definition of that name itself."""
+    found = set()
+    for statement in tree.body:
+        read = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        read.discard(getattr(statement, "name", None))
+        found |= read
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # the checked batch evaluator is kept for callers outside the package,
+    # such as the acceptance suite, though the scan runs its programs itself
+    kept = {"eval_luk_lattice"}
+    assert {path.parent.name for path in PROGRAMS} == {"stablecons", "bench", "scripts"}
+    read = set()
+    for path in PROGRAMS:
+        read |= names_read(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(set(stablecons.__all__) - read - kept) == []
+
+
+def test_a_name_read_only_by_its_own_definition_is_not_read():
+    source = (
+        "def f(x):\n"
+        "    return f(x - 1) + g.h\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return C()\n"
+        "y = f\n"
+    )
+    assert names_read(ast.parse(source)) == {"x", "g", "h", "f"}
