@@ -13,7 +13,9 @@ errors) and in pair mode (random and consequence pairs, the default bound,
 denominators 23, 42 and 43, a budget error), ``check-stable``, ``estar`` and
 ``harness``; then ``reduce`` with and without ``--stats`` on every instance
 file (among them renumbered instances and one at n = 2000), and ``nnf``,
-``ddagger`` and ``parse`` on seeded formulas.  New invocations are appended
+``ddagger`` and ``parse`` on seeded formulas; last, ``check-stable`` on
+declared n = 20 000 and 10**6 (budget counts too large to print) and pair
+mode at denominators 500, 2000 and 10**6.  New invocations are appended
 after the existing ones, so earlier lines keep their bytes.
 """
 
@@ -150,6 +152,17 @@ def invocations(workdir: Path) -> list[list[str]]:
         calls.append(["parse", "--luk", luk_to_text(luk_formula(rng, 4, rng.randint(0, 12)))])
     deep = "~" * 301 + "(X1 /\\ ~(X2 \\/ ~X3))"
     calls += [["nnf", deep], ["ddagger", deep], ["parse", "--bool", deep]]
+
+    contradiction = (FormulaGroup((Var(1), Not(Var(1))), 0),)
+    for n in (20_000, 10**6):
+        path = workdir / f"declared{n}.json"
+        path.write_text(json.dumps(instance_to_json(StableInstance(n, contradiction))))
+        calls.append(["check-stable", str(path)])
+    for q in (500, 2000, 1_000_000):
+        calls.append(
+            ["check-consequence", "--theta", "X1", "--phi", "X1 (*) X2",
+             "--max-denominator", str(q)]
+        )
     return calls
 
 

@@ -75,7 +75,6 @@ from .semantics import (
     UnboundVariableError,
     eval_bool,
     eval_luk,
-    eval_luk_lattice,
     parse_rational01,
     valuation_to_json,
 )

@@ -16,31 +16,32 @@ points have coordinates k/L for a fixed L (e+1 on the grid, the lcm of
 1..max_denominator in pair mode), so the scan evaluates the formulas on
 integer numerators, in the narrowest integer dtype that holds every value in
 [0, L] (int8 on every grid with e <= 126); L must stay below 2**63, which
-admits max_denominator <= 42.  The axis is checked once per scan by
-``lattice_axis``, and each formula is compiled once per scan into a
-straight-line program that computes each distinct subterm once; every batch
-then runs the programs with the runner ``semantics._run`` directly.  The
-points fall into rows: a row fixes the
-leading variables and runs the last few, enough for 64 points, over the
-whole axis; a scan of at most ``_WHOLE_SCAN`` points is one row.  Rows are
-scanned in order, in batches of 64 points growing four-fold up to
-``_SCAN_CHUNK``, each starting where the previous one ended.  A batch is one
-broadcast slab, each trailing variable on a dimension of its own, so a
-subformula is computed only on the axes of the variables it mentions.  In pair mode the rows are first bounded: every
-connective is monotone in each argument and negation antitone, so running
-the programs on the ends of a row's box (its leading coordinates fixed, the
-rest spanning the axis) encloses the antecedent and the consequent on the
-whole row, in the same exact integers.  A row whose antecedent cannot reach
-1, or whose consequent cannot fall below 1, holds no countermodel and is
-dropped before it is scanned.  On the rows that remain, the antecedent is
-evaluated on the slab first and the consequent only where the antecedent is
-1.  The first hit in the slab's C order is the first in the scan order; it
-is decoded into a ``Fraction`` witness and re-verified with the scalar
-``eval_luk`` before it is reported.
+admits max_denominator <= 42, and pair mode checks that before anything
+else.  The scan builds its axis in that dtype once, and compiles each
+formula once into a straight-line program that computes each distinct
+subterm once; every batch then runs the programs with the runner
+``semantics._run``.  The points fall into rows: a row fixes the leading
+variables and runs the last few, enough for 64 points, over the whole axis;
+a scan of at most ``_WHOLE_SCAN`` points is one row.  Rows are scanned in
+order, in batches of 64 points growing four-fold up to ``_SCAN_CHUNK``, each
+starting where the previous one ended.  A batch is one broadcast slab, each
+trailing variable on a dimension of its own, so a subformula is computed
+only on the axes of the variables it mentions.  In pair mode the rows are
+first bounded: every connective is monotone in each argument and negation
+antitone, so running the programs on the ends of a row's box (its leading
+coordinates fixed, the rest spanning the axis) encloses the antecedent and
+the consequent on the whole row, in the same exact integers.  A row whose
+antecedent cannot reach 1, or whose consequent cannot fall below 1, holds no
+countermodel and is dropped before it is scanned.  On the rows that remain,
+the antecedent is evaluated on the slab first and the consequent only where
+the antecedent is 1.  The first hit in the slab's C order is the first in
+the scan order; it is decoded into a ``Fraction`` witness and re-verified
+with the scalar ``eval_luk`` before it is reported.
 
 All enumerations honor a hard budget and raise ``BudgetExceededError`` rather
 than truncate, and every emitted witness is deterministic: the first hit in
-lexicographic enumeration order.
+lexicographic enumeration order.  A step count of 2**2048 or more is
+reported as "at least 2**k", neither built nor printed (``_check_budget``).
 """
 
 from __future__ import annotations
@@ -75,29 +76,51 @@ from .semantics import (
     ONE,
     _bound_luk_lattice,
     _lattice_connectives,
+    _lattice_dtype,
     _run,
     compile_luk,
     eval_bool,
     eval_luk,
-    lattice_axis,
     valuation_to_json,
 )
 
 DEFAULT_BUDGET = 5_000_000
 
+_PRINTED_BITS = 2048  # below 640 digits, the least int printing limit Python takes
+
 
 class BudgetExceededError(Exception):
-    """An enumeration would exceed its budget; no verdict was produced."""
+    """An enumeration would exceed its budget; no verdict was produced.
 
-    def __init__(self, what: str, needed: int, budget: int) -> None:
+    ``needed`` is the step count, or the string "at least 2**k" when the
+    count reaches 2**2048.
+    """
+
+    def __init__(self, what: str, needed: int | str, budget: int) -> None:
         super().__init__(f"{what} needs {needed} steps, budget is {budget}")
         self.needed = needed
         self.budget = budget
 
 
-def _check_budget(needed: int, budget: int, what: str) -> None:
-    if needed > budget:
-        raise BudgetExceededError(what, needed, budget)
+def _check_budget(budget: int, what: str, base: int, exponent: int, factor: int = 1):
+    """Raise ``BudgetExceededError`` if factor * base**exponent > budget.
+
+    With factor and base at least 1, the bit lengths alone give a k with
+    count >= 2**k.  The count is built only while k is below the budget's
+    bit length (it may fit) or below ``_PRINTED_BITS`` (it prints exactly).
+    Past both it exceeds the budget and is reported as "at least 2**k": a
+    declared n of 10**10 would make 2**n a 1.25 GB int, and Python prints no
+    int past 4300 digits.
+    """
+    bits = factor.bit_length() - 1 + exponent * (base.bit_length() - 1)
+    if bits < max(budget.bit_length(), _PRINTED_BITS):
+        needed = factor * base**exponent
+        if needed <= budget:
+            return
+        bits = needed.bit_length() - 1
+    if bits >= _PRINTED_BITS:
+        needed = f"at least 2**{bits}"
+    raise BudgetExceededError(what, needed, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +228,7 @@ def stable_bruteforce(
     combos = math.prod(
         math.comb(len(g.formulas), g.delete_count) for g in instance.groups
     )
-    _check_budget(combos * 2**instance.n, budget, "stability enumeration")
+    _check_budget(budget, "stability enumeration", 2, instance.n, combos)
     choice_spaces = [
         list(itertools.combinations(range(len(g.formulas)), g.delete_count))
         for g in instance.groups
@@ -247,7 +270,7 @@ def check_consequence_rho(
     and the size statistics are never built.
     """
     n = output.n
-    _check_budget(2**n, budget, "grid enumeration")
+    _check_budget(budget, "grid enumeration", 2, n)
     var_order = range(1, n + 1)
     L = output.e + 1
     row = _scan(None, output.phi, var_order, (1, output.e), L)
@@ -285,16 +308,22 @@ def find_countermodel(
     consequent < 1) or ``inconclusive_at_bound``.  Sound as a refuter always;
     complete only when the bound covers the pair's true vertex denominators.
     The points are scanned by ``_scan`` on integer numerators over
-    L = lcm(1..max_denominator), which must stay below 2**63, so bounds past
-    42 raise ``ValueError`` before any scan.  Rows whose bounds rule out a
-    countermodel are dropped unscanned; each batch evaluates the antecedent
-    first and the consequent only at the antecedent's models; the witness is
-    re-verified with ``eval_luk``.
+    L = lcm(1..max_denominator), which must stay below 2**63: L is checked
+    first (its running lcm stops past 2**63 - 1), so a bound past 42 raises
+    ``ValueError`` whatever the number of variables.  Rows whose bounds rule
+    out a countermodel are dropped unscanned; each batch evaluates the
+    antecedent first and the consequent only at the antecedent's models; the
+    witness is re-verified with ``eval_luk``.
     """
+    L = 1  # lcm(1..max_denominator), or the first running lcm past int64
+    for q in range(2, max_denominator + 1):
+        if L >= 2**63:
+            break
+        L = math.lcm(L, q)
+    _lattice_dtype(L)  # the ValueError past int64
     var_order = sorted(variables(theta) | variables(phi))
     fractions = denominator_bounded_fractions(max_denominator)
-    _check_budget(len(fractions) ** len(var_order), budget, "countermodel scan")
-    L = math.lcm(*range(1, max_denominator + 1))
+    _check_budget(budget, "countermodel scan", len(fractions), len(var_order))
     axis = [f.numerator * (L // f.denominator) for f in fractions]
     row = _scan(theta, phi, var_order, axis, L)
     if row is None:
@@ -319,9 +348,10 @@ def _scan(
     Every coordinate of a point is an entry of ``axis``, a numerator over L,
     one coordinate per variable of ``var_order``.  Points are scanned in
     lexicographic order of their axis positions, the last variable varying
-    fastest.  ``L`` and the axis are checked once, by ``lattice_axis``, which
-    also fixes the dtype of every slab; theta and phi are compiled once, and
-    the table of lattice connectives is built once.
+    fastest.  The axis is converted once to the dtype of L
+    (``_lattice_dtype``), the dtype of every slab, and not checked: the
+    callers build its numerators in [0, L].  Theta and phi are compiled
+    once, and the table of lattice connectives is built once.
 
     The points fall into rows: a row fixes the first m-k variables and runs
     the last k over the whole axis, with k the smallest value (at least 1,
@@ -344,7 +374,7 @@ def _scan(
     countermodel in scan order.  The grid check has no antecedent and scans
     every row.  Returns the first hit's numerators, or None.
     """
-    values = lattice_axis(axis, L)
+    values = np.array(axis, dtype=_lattice_dtype(L))
     top = values.dtype.type(L)
     table = _lattice_connectives(top)
     theta_program = None if theta is None else compile_luk(theta)

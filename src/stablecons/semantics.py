@@ -19,22 +19,19 @@ vectorized.  It runs a formula compiled by ``compile_luk`` into a
 straight-line program with one instruction per distinct subterm, and takes
 one broadcastable array per variable, so a search can lay its points out as
 a grid of axes and compute each subformula only on the axes of the variables
-it mentions.  ``eval_luk_lattice`` is the checked entry: it checks and
-converts every coordinate array with ``lattice_axis`` and compiles the
-formula on each call.  A search that checks its axis once and runs many
-batches compiles once and calls the runner, ``_run``, itself.  The same
-runner, given stacked (lower, upper) numerators and a negation that swaps
-the two, bounds a program over boxes of lattice points (interval
-evaluation), since every connective is monotone in each argument and
-negation is antitone.
+it mentions.  Its one caller is the lattice scan of ``decision``, which
+builds its axis in the lattice dtype, compiles each formula once per scan
+and calls the runner, ``_run``, on every batch.  The same runner, given
+stacked (lower, upper) numerators and a negation that swaps the two, bounds
+a program over boxes of lattice points (interval evaluation), since every
+connective is monotone in each argument and negation is antitone.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -180,37 +177,6 @@ def _lattice_dtype(denominator: int) -> np.dtype:
     raise ValueError(f"denominator {L} too large for int64 lattice arithmetic")
 
 
-def lattice_axis(values, denominator: int) -> np.ndarray:
-    """``values`` as numerators over ``denominator``, checked, in its dtype.
-
-    The denominator L fixes the dtype (``_lattice_dtype``: int8 for
-    L <= 127, int16 for L <= 32 767, int32 for L < 2**31, int64 below
-    2**63), in which the lattice connectives stay exact.  L is checked
-    before any value is converted, so an oversized lattice is a
-    ``ValueError``, never an overflow.  Every value must be an integer in
-    [0, L]; a float, complex or string coordinate is a ``ValueError``, not
-    truncated.
-    """
-    L = int(denominator)
-    dtype = _lattice_dtype(L)
-    arr = np.asarray(values)
-    if arr.dtype != dtype:
-        # an object array converts through int(), which truncates 3/2 to 1
-        if arr.dtype.kind not in "biuO" or (
-            arr.dtype.kind == "O"
-            and not all(isinstance(value, numbers.Integral) for value in arr.flat)
-        ):
-            raise ValueError(f"lattice coordinates must be integers, got {arr.dtype}")
-        try:
-            arr = np.asarray(arr, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("lattice coordinates must lie in [0, denominator]") from None
-    # read as unsigned, a negative value exceeds every L: one reduction
-    if arr.size and arr.view(f"u{arr.itemsize}").max() > L:
-        raise ValueError("lattice coordinates must lie in [0, denominator]")
-    return arr.astype(dtype, copy=False)
-
-
 def compile_luk(formula: LukFormula) -> tuple[tuple, ...]:
     """Compile a formula into a hash-consed straight-line program.
 
@@ -260,41 +226,6 @@ def compile_luk(formula: LukFormula) -> tuple[tuple, ...]:
     return tuple([(*key, tuple(freed)) for key, freed in zip(code, dead)])
 
 
-def eval_luk_lattice(
-    formula: LukFormula,
-    var_order: Sequence[int],
-    numerators: Sequence | np.ndarray,
-    denominator: int,
-) -> np.ndarray:
-    """Evaluate one formula at many lattice points at once, exactly.
-
-    ``numerators`` holds one integer array per variable of ``var_order``:
-    the coordinates of that variable scaled by ``denominator``.  A 2-D
-    array is read column by column, so an (npoints, len(var_order)) matrix
-    gives one coordinate row per point.  Each array is checked and
-    converted by ``lattice_axis``, so the evaluation runs in the lattice
-    dtype.  The arrays broadcast against each other, and each distinct
-    subterm is computed once, on the broadcast of the arrays of the
-    variables it mentions (as a scalar when they are all scalars), and
-    dropped after its last use.  Returns the value numerators over the same
-    denominator, shaped like that broadcast.  Agrees with ``eval_luk``
-    pointwise.
-    """
-    L = int(denominator)
-    if isinstance(numerators, np.ndarray):
-        numerators = numerators.T
-    if len(numerators) != len(var_order):
-        raise ValueError(
-            f"numerators must hold {len(var_order)} coordinate arrays, "
-            f"got {len(numerators)}"
-        )
-    binding = {
-        index: lattice_axis(values, L) for index, values in zip(var_order, numerators)
-    }
-    top = _lattice_dtype(L).type(L)
-    return _run(compile_luk(formula), binding, _lattice_connectives(top))
-
-
 def _bound_luk_lattice(
     program: tuple[tuple, ...], binding: Mapping[int, np.ndarray], top
 ) -> np.ndarray:
@@ -303,13 +234,13 @@ def _bound_luk_lattice(
     ``binding`` maps each variable to its (lower, upper) numerators stacked
     on a leading axis of length 2 (or 1, which broadcasts, where the two are
     equal), in the lattice dtype of ``top``, the scalar L; the remaining
-    axes broadcast as in ``eval_luk_lattice``, one box per entry.  Returns
-    the stacked (lower, upper) of the program over each box.  Every binary
-    connective is monotone in both arguments, so applying it to the lower
-    ends and to the upper ends bounds it; negation is antitone, so it swaps
-    the ends.  Interval evaluation ignores that a variable mentioned twice
-    takes one value, so the enclosure may be wider than the range, never
-    narrower; on a box of one point it is that point's value.
+    axes broadcast as in ``_run``, one box per entry.  Returns the stacked
+    (lower, upper) of the program over each box.  Every binary connective is
+    monotone in both arguments, so applying it to the lower ends and to the
+    upper ends bounds it; negation is antitone, so it swaps the ends.
+    Interval evaluation ignores that a variable mentioned twice takes one
+    value, so the enclosure may be wider than the range, never narrower; on
+    a box of one point it is that point's value.
     """
     table = {**_lattice_connectives(top), Neg: lambda a: top - a[::-1]}
     return _run(program, binding, table)
@@ -318,16 +249,14 @@ def _bound_luk_lattice(
 def _run(program: tuple[tuple, ...], binding: Mapping[int, object], table: dict):
     """Run a program of ``compile_luk`` with the connectives of ``table``.
 
-    ``binding`` maps each variable to its value: an array or a scalar, not
-    checked here.
+    ``binding`` maps every variable of the program to an array or a scalar,
+    not checked here.  The arrays broadcast: each slot is computed on the
+    broadcast of the values it reads and dropped after its last use.
     """
     values: list = [None] * len(program)
     for slot, (kind, a, b, dead) in enumerate(program):
         if kind is Var:
-            try:
-                values[slot] = binding[a]
-            except KeyError:
-                raise UnboundVariableError(a) from None
+            values[slot] = binding[a]
         elif b is None:
             values[slot] = table[kind](values[a])
         else:

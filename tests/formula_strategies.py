@@ -5,9 +5,16 @@ from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 
 from stablecons import And, Join, Meet, Neg, Not, Oplus, Or, Otimes, Var
 from stablecons.formulas import _nodes
+from stablecons.semantics import (
+    _lattice_connectives,
+    _lattice_dtype,
+    _run,
+    compile_luk,
+)
 
 
 def bool_formulas(max_index: int = 4, max_leaves: int = 25):
@@ -57,6 +64,22 @@ def random_luk_formula(rng: random.Random, n_vars: int, max_connectives: int):
     right = random_luk_formula(rng, n_vars, max_connectives - 1 - split)
     node = {"oplus": Oplus, "otimes": Otimes, "meet": Meet, "join": Join}[kind]
     return node(left, right)
+
+
+def eval_lattice(formula, var_order, columns, L):
+    """The formula's value numerators over L at many lattice points at once.
+
+    ``columns`` holds one array of numerators per variable of ``var_order``
+    (the columns of a point matrix, or broadcastable axes), converted to the
+    lattice dtype of L as the scan converts its axis.  The result has that
+    dtype and the broadcast shape of the columns.
+    """
+    dtype = _lattice_dtype(L)
+    binding = {
+        index: np.asarray(column, dtype=dtype)
+        for index, column in zip(var_order, columns)
+    }
+    return _run(compile_luk(formula), binding, _lattice_connectives(dtype.type(L)))
 
 
 def variable_occurrences(formula) -> Counter:

@@ -36,7 +36,6 @@ from stablecons import (
     estar,
     eval_bool,
     eval_luk,
-    eval_luk_lattice,
     find_countermodel,
     harness_trials,
     implies,
@@ -53,7 +52,12 @@ from stablecons import (
     variables,
 )
 from stablecons.cli import run
-from formula_strategies import lift_point, random_luk_formula, variable_occurrences
+from formula_strategies import (
+    eval_lattice,
+    lift_point,
+    random_luk_formula,
+    variable_occurrences,
+)
 
 COUNTERMODEL = "countermodel"
 CONSEQUENCE = "consequence"
@@ -101,7 +105,7 @@ def test_criterion_1_grid_forcing():
         for n in (1, 2, 3):
             theta = constraint_formula(n, e)
             coords = full_lattice(axis, n)
-            values = eval_luk_lattice(theta, list(range(1, n + 1)), coords, L)
+            values = eval_lattice(theta, range(1, n + 1), coords.T, L)
             on_grid = np.logical_and.reduce(
                 (coords == low_num) | (coords == high_num), axis=1
             )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -203,6 +204,22 @@ class TestCheckStableCommand:
         assert code == 3
         assert doc["error"]["kind"] == "budget_exceeded"
 
+    @pytest.mark.parametrize("n", [20_000, 10**6, 10**10])
+    def test_a_declared_n_past_printing_is_a_quick_budget_error(
+        self, capsys, instance_file, n
+    ):
+        # 2**n steps: not built, and reported as a string, not a JSON int
+        path = instance_file({**CONTRADICTION, "n": n})
+        started = time.perf_counter()
+        code, doc = invoke_json(capsys, "check-stable", path)
+        assert time.perf_counter() - started < 1
+        assert code == 3
+        assert doc["error"]["kind"] == "budget_exceeded"
+        assert doc["error"]["needed"] == f"at least 2**{n}"
+        assert doc["error"]["message"] == (
+            f"stability enumeration needs at least 2**{n} steps, budget is 5000000"
+        )
+
 
 class TestCheckConsequenceCommand:
     def test_instance_mode_consequence(self, capsys, instance_file):
@@ -282,6 +299,25 @@ class TestCheckConsequenceCommand:
         assert json.loads(out)["error"]["kind"] == "value"
         assert "too large" in json.loads(out)["error"]["message"]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "bound", [["--max-denominator", "2000"], ["--max-denominator", "1000000"], []]
+    )
+    @pytest.mark.parametrize("phi", ["X1", "X1 (*) X2"])
+    def test_a_large_bound_is_a_quick_value_error(self, capsys, bound, phi):
+        # with no flag the bound is the pair's connective count, 2000 or more
+        theta = " (+) ".join(["X1"] * (2001 if not bound else 1))
+        started = time.perf_counter()
+        code, doc = invoke_json(
+            capsys, "check-consequence", "--theta", theta, "--phi", phi, *bound
+        )
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert doc["error"] == {
+            "kind": "value",
+            "message": "denominator 9419588158802421600 too large for int64 "
+            "lattice arithmetic",
+        }
 
     def test_both_modes_rejected(self, capsys, instance_file):
         code, doc = invoke_json(

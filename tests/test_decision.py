@@ -13,7 +13,6 @@ from hypothesis import given, settings
 
 import stablecons.decision
 import stablecons.reduction
-import stablecons.semantics
 from stablecons import (
     CONSEQUENCE,
     COUNTERMODEL,
@@ -153,6 +152,34 @@ class TestStableBruteforce:
         with pytest.raises(BudgetExceededError):
             stable_bruteforce(instance_of(2, (("X1", "X2"), 1)), budget=1)
 
+    @pytest.mark.parametrize(
+        "n, needed",
+        [
+            (2045, 6 * 2**2045),  # below 2**2048: built and printed exactly
+            (2046, "at least 2**2048"),
+            (10**10, f"at least 2**{10**10 + 2}"),  # 2**n would take 1.25 GB
+        ],
+        ids=["2045", "2046", "10**10"],
+    )
+    def test_a_count_too_large_to_print_is_not_built(self, n, needed):
+        # (3 choose 1) * (2 choose 1) = 6 deletion choices
+        instance = instance_of(n, (("X1", "X2", "X3"), 1), (("X1", "~X1"), 1))
+        with pytest.raises(BudgetExceededError) as raised:
+            stable_bruteforce(instance)
+        assert raised.value.needed == needed
+        assert str(raised.value) == (
+            f"stability enumeration needs {needed} steps, budget is 5000000"
+        )
+
+    def test_a_budget_past_2_to_the_2048_is_compared_exactly(self):
+        # 3 * 2**3000 steps: built, since the budget has 3002 bits
+        instance = instance_of(3000, (("~X1", "~X2", "~X3"), 1))
+        with pytest.raises(BudgetExceededError) as raised:
+            stable_bruteforce(instance, budget=3 * 2**3000 - 1)
+        assert raised.value.needed == "at least 2**3001"
+        # at the count itself the enumeration runs: ~X2 and ~X3 hold at once
+        assert not stable_bruteforce(instance, budget=3 * 2**3000).stable
+
     def test_agrees_with_plain_unsat_when_nothing_is_deleted(self):
         rng = random.Random(321)
         from stablecons import random_bool_formula
@@ -247,16 +274,16 @@ class TestCheckConsequenceRho:
         assert [points for _, points in calls] == [2**10]
 
     def test_the_axis_is_checked_once_per_scan(self, monkeypatch):
-        # 2**13 points take several batches; none of them checks the axis again
+        # 2**13 points take several batches; none of them sizes the axis again
         every = " /\\ ".join(f"X{i}" for i in range(1, 14))
         output = reduce_instance(instance_of(13, ((every, "~X13"), 0)))
         checks = []
-        for module in (stablecons.semantics, stablecons.decision):
-            def counting(*args, original=module.lattice_axis):
-                checks.append(args)
-                return original(*args)
 
-            monkeypatch.setattr(module, "lattice_axis", counting)
+        def counting(*args, original=stablecons.decision._lattice_dtype):
+            checks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(stablecons.decision, "_lattice_dtype", counting)
         calls = spy_on_scan(monkeypatch)
         verdict = check_consequence_rho(output)
         assert verdict.kind == CONSEQUENCE and verdict.certified
@@ -519,6 +546,19 @@ class TestScanShapes:
     def test_denominator_past_int64_is_rejected_before_scanning(self):
         with pytest.raises(ValueError, match="too large"):
             find_countermodel(parse_luk("X1"), parse_luk("X1"), 43)
+
+    @pytest.mark.parametrize("phi", ["X1", "X1 (*) X2", "X1 (*) X2 (*) X3"])
+    @pytest.mark.parametrize("bound", [44, 500, 10**6, 10**12])
+    def test_every_bound_past_42_is_the_same_value_error(self, phi, bound):
+        # L is checked before the points are listed or counted, so the
+        # number of variables cannot turn this into a budget error, and the
+        # running lcm stops at lcm(1..43), the first value past int64
+        with pytest.raises(ValueError) as raised:
+            find_countermodel(parse_luk("X1"), parse_luk(phi), bound, budget=1)
+        assert str(raised.value) == (
+            f"denominator {math.lcm(*range(1, 44))} too large for int64 lattice "
+            "arithmetic"
+        )
 
 
 class TestCoefficientBound:

@@ -26,7 +26,6 @@ from stablecons import (
     denominator_bounded_fractions,
     eval_bool,
     eval_luk,
-    eval_luk_lattice,
     iff,
     multiple,
     parse_bool,
@@ -38,9 +37,10 @@ from stablecons import (
     variables,
 )
 from stablecons.formulas import fold
-from stablecons.semantics import _bound_luk_lattice, compile_luk, lattice_axis
+from stablecons.semantics import _bound_luk_lattice, _lattice_dtype, compile_luk
 from formula_strategies import (
     bool_formulas,
+    eval_lattice,
     luk_formulas,
     random_luk_formula,
     valuations_over,
@@ -263,32 +263,10 @@ class TestLatticeEvaluator:
             )
         )
         coords = np.array(rows, dtype=np.int64).reshape(len(rows), len(indices))
-        values = eval_luk_lattice(formula, indices, coords, L)
+        values = eval_lattice(formula, indices, coords.T, L)
         for row, value in zip(rows, values):
             point = {i: Fraction(num, L) for i, num in zip(indices, row)}
             assert Fraction(int(value), L) == eval_luk(formula, point)
-
-    def test_rejects_out_of_range_coordinates(self):
-        with pytest.raises(ValueError):
-            eval_luk_lattice(Var(1), [1], np.array([[13]]), 12)
-
-    @pytest.mark.parametrize(
-        "coordinates",
-        [[0.5, 1.9], [1.0], [1 + 0j], ["1"], [Fraction(3, 2)], np.array([1.7])],
-    )
-    def test_rejects_non_integer_coordinates(self, coordinates):
-        with pytest.raises(ValueError, match="must be integers"):
-            lattice_axis(coordinates, 2)
-        with pytest.raises(ValueError, match="must be integers"):
-            eval_luk_lattice(parse_luk("X1"), [1], [coordinates], 2)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            eval_luk_lattice(Var(1), [1], np.array([1, 2, 3]), 12)
-
-    def test_unbound_variable(self):
-        with pytest.raises(UnboundVariableError):
-            eval_luk_lattice(Var(2), [1], np.array([[3]]), 12)
 
     def test_random_formula_bulk_agreement(self):
         rng = random.Random(99)
@@ -303,7 +281,7 @@ class TestLatticeEvaluator:
                 ],
                 dtype=np.int64,
             ).reshape(20, len(indices))
-            values = eval_luk_lattice(formula, indices, coords, L)
+            values = eval_lattice(formula, indices, coords.T, L)
             for row, value in zip(coords, values):
                 point = {i: Fraction(int(v), L) for i, v in zip(indices, row)}
                 assert Fraction(int(value), L) == eval_luk(formula, point)
@@ -335,8 +313,8 @@ EXTREME_FORMULAS = [
 class TestLatticeDtype:
     @pytest.mark.parametrize("L, dtype", DTYPE_BOUNDARIES)
     def test_the_narrowest_exact_dtype_is_chosen(self, L, dtype):
-        assert lattice_axis([0, L], L).dtype == dtype
-        assert eval_luk_lattice(parse_luk("X1 (+) X1"), [1], [[0, L]], L).dtype == dtype
+        assert _lattice_dtype(L) == dtype
+        assert eval_lattice(parse_luk("X1 (+) X1"), [1], [[0, L]], L).dtype == dtype
 
     @pytest.mark.parametrize("L, dtype", DTYPE_BOUNDARIES)
     @pytest.mark.parametrize("text", EXTREME_FORMULAS)
@@ -344,7 +322,7 @@ class TestLatticeDtype:
         formula = parse_luk(text)
         corners = [0, 1, L - 1, L]
         rows = list(itertools.product(corners, repeat=2))
-        values = eval_luk_lattice(formula, [1, 2], np.array(rows), L)
+        values = eval_lattice(formula, [1, 2], np.array(rows).T, L)
         assert values.dtype == dtype
         for row, value in zip(rows, values):
             point = {i: Fraction(v, L) for i, v in zip((1, 2), row)}
@@ -352,8 +330,8 @@ class TestLatticeDtype:
 
     def test_rejects_a_denominator_past_int64(self):
         with pytest.raises(ValueError, match="too large"):
-            lattice_axis([0], 2**63)
-        assert lattice_axis([0], 2**63 - 1).dtype == np.int64
+            _lattice_dtype(2**63)
+        assert _lattice_dtype(2**63 - 1) == np.int64
 
     @pytest.mark.parametrize(
         "theta, phi",
@@ -371,8 +349,8 @@ class TestLatticeDtype:
         theta, phi = parse_luk(theta), parse_luk(phi)
         scale = 2**40
         axis = [0, 1, 2, 3, 4, 5, 6]
-        assert lattice_axis(axis, 6).dtype == np.int8
-        assert lattice_axis([a * scale for a in axis], 6 * scale).dtype == np.int64
+        assert _lattice_dtype(6) == np.int8
+        assert _lattice_dtype(6 * scale) == np.int64
         scan = stablecons.decision._scan
         with mock.patch.multiple(
             stablecons.decision, _FIRST_CHUNK=2, _SCAN_CHUNK=16, _WHOLE_SCAN=2
@@ -437,20 +415,9 @@ class TestCompiledProgram:
         rows = data.draw(
             st.lists(st.tuples(*(coordinate for _ in indices)), min_size=1, max_size=6)
         )
-        values = eval_luk_lattice(formula, indices, np.array(rows, dtype=np.int64), L)
+        values = eval_lattice(formula, indices, np.array(rows, dtype=np.int64).T, L)
         for row, value in zip(rows, values):
             assert int(value) == int_fold(formula, dict(zip(indices, row)), L)
-
-    @given(st.one_of(luk_formulas(), shared_formulas), st.data())
-    def test_an_unbound_variable_is_named_as_by_the_fold(self, formula, data):
-        indices = sorted(variables(formula))
-        missing = data.draw(st.sets(st.sampled_from(indices), min_size=1))
-        point = {i: 1 for i in indices if i not in missing}
-        with pytest.raises(KeyError) as expected:
-            int_fold(formula, point, 2)
-        with pytest.raises(UnboundVariableError) as raised:
-            eval_luk_lattice(formula, sorted(point), [1] * len(point), 2)
-        assert raised.value.index == expected.value.args[0]
 
     @given(st.one_of(luk_formulas(), shared_formulas))
     def test_one_instruction_per_distinct_subterm(self, formula):
@@ -504,8 +471,9 @@ def draw_boxes(data, indices, axis, most=3, widest=2):
 def bind_boxes(indices, axis, boxes, L):
     """Each variable's (lower, upper) numerators stacked over the boxes."""
     return {
-        index: lattice_axis(
-            [[axis[box[v][0]] for box in boxes], [axis[box[v][1]] for box in boxes]], L
+        index: np.array(
+            [[axis[box[v][0]] for box in boxes], [axis[box[v][1]] for box in boxes]],
+            dtype=_lattice_dtype(L),
         )
         for v, index in enumerate(indices)
     }
@@ -517,7 +485,7 @@ class TestBoundRunner:
         axis, L = axis_L
         indices = sorted(variables(formula))
         boxes = draw_boxes(data, indices, axis)
-        top = lattice_axis([L], L)[0]
+        top = _lattice_dtype(L).type(L)
         bounds = _bound_luk_lattice(
             compile_luk(formula), bind_boxes(indices, axis, boxes, L), top
         )
@@ -533,7 +501,7 @@ class TestBoundRunner:
         axis, L = axis_L
         indices = sorted(variables(formula))
         boxes = draw_boxes(data, indices, axis, widest=0)
-        top = lattice_axis([L], L)[0]
+        top = _lattice_dtype(L).type(L)
         binding = bind_boxes(indices, axis, boxes, L)
         program = compile_luk(formula)
         bounds = _bound_luk_lattice(program, binding, top)

@@ -73,14 +73,11 @@ def names_read(tree):
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    # the checked batch evaluator is kept for callers outside the package,
-    # such as the acceptance suite, though the scan runs its programs itself
-    kept = {"eval_luk_lattice"}
     assert {path.parent.name for path in PROGRAMS} == {"stablecons", "bench", "scripts"}
     read = set()
     for path in PROGRAMS:
         read |= names_read(ast.parse(path.read_text(encoding="utf-8")))
-    assert sorted(set(stablecons.__all__) - read - kept) == []
+    assert sorted(set(stablecons.__all__) - read) == []
 
 
 def test_a_name_read_only_by_its_own_definition_is_not_read():
