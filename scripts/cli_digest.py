@@ -14,9 +14,11 @@ denominators 23, 42 and 43, a budget error), ``check-stable``, ``estar`` and
 ``harness``; then ``reduce`` with and without ``--stats`` on every instance
 file (among them renumbered instances and one at n = 2000), and ``nnf``,
 ``ddagger`` and ``parse`` on seeded formulas; last, ``check-stable`` on
-declared n = 20 000 and 10**6 (budget counts too large to print) and pair
-mode at denominators 500, 2000 and 10**6.  New invocations are appended
-after the existing ones, so earlier lines keep their bytes.
+declared n = 20 000 and 10**6 (budget counts too large to print), pair
+mode at denominators 500, 2000 and 10**6, and ``check-stable`` and
+``check-consequence`` on a JSON file nested 200 000 levels deep.  New
+invocations are appended after the existing ones, so earlier lines keep
+their bytes.
 """
 
 from __future__ import annotations
@@ -163,6 +165,9 @@ def invocations(workdir: Path) -> list[list[str]]:
             ["check-consequence", "--theta", "X1", "--phi", "X1 (*) X2",
              "--max-denominator", str(q)]
         )
+    deep = workdir / "deep.json"  # past the JSON decoder's recursion
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    calls += [["check-stable", str(deep)], ["check-consequence", str(deep)]]
     return calls
 
 

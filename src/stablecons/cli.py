@@ -73,7 +73,11 @@ def _emit_error(kind: str, message: str, **extra) -> None:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        text = handle.read()
+    try:
+        return json.loads(text)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise json.JSONDecodeError("nesting too deep to decode", text, 0) from None
 
 
 _BINDING = re.compile(r"X[1-9][0-9]*")

@@ -11,32 +11,9 @@
 * ``estar`` — binary search for the largest deletion allowance that keeps a
   conclusion entailed.
 
-Both consequence checks run on one exact lattice scan, ``_scan``.  Their
-points have coordinates k/L for a fixed L (e+1 on the grid, the lcm of
-1..max_denominator in pair mode), so the scan evaluates the formulas on
-integer numerators, in the narrowest integer dtype that holds every value in
-[0, L] (int8 on every grid with e <= 126); L must stay below 2**63, which
-admits max_denominator <= 42, and pair mode checks that before anything
-else.  The scan builds its axis in that dtype once, and compiles each
-formula once into a straight-line program that computes each distinct
-subterm once; every batch then runs the programs with the runner
-``semantics._run``.  The points fall into rows: a row fixes the leading
-variables and runs the last few, enough for 64 points, over the whole axis;
-a scan of at most ``_WHOLE_SCAN`` points is one row.  Rows are scanned in
-order, in batches of 64 points growing four-fold up to ``_SCAN_CHUNK``, each
-starting where the previous one ended.  A batch is one broadcast slab, each
-trailing variable on a dimension of its own, so a subformula is computed
-only on the axes of the variables it mentions.  In pair mode the rows are
-first bounded: every connective is monotone in each argument and negation
-antitone, so running the programs on the ends of a row's box (its leading
-coordinates fixed, the rest spanning the axis) encloses the antecedent and
-the consequent on the whole row, in the same exact integers.  A row whose
-antecedent cannot reach 1, or whose consequent cannot fall below 1, holds no
-countermodel and is dropped before it is scanned.  On the rows that remain,
-the antecedent is evaluated on the slab first and the consequent only where
-the antecedent is 1.  The first hit in the slab's C order is the first in
-the scan order; it is decoded into a ``Fraction`` witness and re-verified
-with the scalar ``eval_luk`` before it is reported.
+Both consequence checks run on the exact lattice scan of ``semantics``,
+``_scan``; its first hit is decoded into a ``Fraction`` witness and
+re-verified with the scalar ``eval_luk`` before it is reported.
 
 All enumerations honor a hard budget and raise ``BudgetExceededError`` rather
 than truncate, and every emitted witness is deterministic: the first hit in
@@ -52,8 +29,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .formulas import (
     And,
@@ -74,11 +49,8 @@ from .reduction import (
 )
 from .semantics import (
     ONE,
-    _bound_luk_lattice,
-    _lattice_connectives,
     _lattice_dtype,
-    _run,
-    compile_luk,
+    _scan,
     eval_bool,
     eval_luk,
     valuation_to_json,
@@ -93,11 +65,14 @@ class BudgetExceededError(Exception):
     """An enumeration would exceed its budget; no verdict was produced.
 
     ``needed`` is the step count, or the string "at least 2**k" when the
-    count reaches 2**2048.
+    count reaches 2**2048.  The message writes a budget that large the same
+    way; the ``budget`` attribute stays the int.
     """
 
     def __init__(self, what: str, needed: int | str, budget: int) -> None:
-        super().__init__(f"{what} needs {needed} steps, budget is {budget}")
+        bits = budget.bit_length() - 1
+        shown = budget if bits < _PRINTED_BITS else f"at least 2**{bits}"
+        super().__init__(f"{what} needs {needed} steps, budget is {shown}")
         self.needed = needed
         self.budget = budget
 
@@ -261,13 +236,12 @@ def check_consequence_rho(
     question outright: certified consequence if it is 1 everywhere, otherwise
     the first grid point (lexicographic, low coordinate first, the last
     variable varying fastest) where it falls short.  The grid is scanned by
-    ``_scan`` on the integer numerators {1, e} over L = e+1, row by row in
-    batches of up to ``_SCAN_CHUNK`` points; the antecedent is neither
-    bounded nor evaluated there, since grid forcing makes every grid point
-    one of its models, but the witness is re-verified against both formulas
-    with ``eval_luk``.  So the check reads only n, e and the consequent of
-    ``output``: the antecedent is built only when a countermodel is found,
-    and the size statistics are never built.
+    ``_scan`` on the integer numerators {1, e} over L = e+1 without the
+    antecedent, since grid forcing makes every grid point one of its models,
+    but the witness is re-verified against both formulas with ``eval_luk``.
+    So the check reads only n, e and the consequent of ``output``: the
+    antecedent is built only when a countermodel is found, and the size
+    statistics are never built.
     """
     n = output.n
     _check_budget(budget, "grid enumeration", 2, n)
@@ -310,10 +284,8 @@ def find_countermodel(
     The points are scanned by ``_scan`` on integer numerators over
     L = lcm(1..max_denominator), which must stay below 2**63: L is checked
     first (its running lcm stops past 2**63 - 1), so a bound past 42 raises
-    ``ValueError`` whatever the number of variables.  Rows whose bounds rule
-    out a countermodel are dropped unscanned; each batch evaluates the
-    antecedent first and the consequent only at the antecedent's models; the
-    witness is re-verified with ``eval_luk``.
+    ``ValueError`` whatever the number of variables.  The witness is
+    re-verified with ``eval_luk``.
     """
     L = 1  # lcm(1..max_denominator), or the first running lcm past int64
     for q in range(2, max_denominator + 1):
@@ -329,196 +301,6 @@ def find_countermodel(
     if row is None:
         return ConsequenceVerdict.inconclusive(max_denominator)
     return _countermodel(theta, phi, var_order, row, L)
-
-
-_WHOLE_SCAN = 1 << 12
-_FIRST_CHUNK = 64
-_SCAN_CHUNK = 1 << 16
-
-
-def _scan(
-    theta: LukFormula | None,
-    phi: LukFormula,
-    var_order: Sequence[int],
-    axis: Sequence[int],
-    L: int,
-) -> tuple[int, ...] | None:
-    """First point of axis^m where phi < L (and theta = L, if theta is given).
-
-    Every coordinate of a point is an entry of ``axis``, a numerator over L,
-    one coordinate per variable of ``var_order``.  Points are scanned in
-    lexicographic order of their axis positions, the last variable varying
-    fastest.  The axis is converted once to the dtype of L
-    (``_lattice_dtype``), the dtype of every slab, and not checked: the
-    callers build its numerators in [0, L].  Theta and phi are compiled
-    once, and the table of lattice connectives is built once.
-
-    The points fall into rows: a row fixes the first m-k variables and runs
-    the last k over the whole axis, with k the smallest value (at least 1,
-    at most m) for which a row holds ``_FIRST_CHUNK`` points.  Rows are
-    scanned in order, in batches (see ``_scan_rows``) of ``_FIRST_CHUNK``
-    points growing four-fold up to ``_SCAN_CHUNK``, at least one row each.
-    Each batch starts where the previous one ended, so an early hit stays
-    cheap and no point is scanned twice.  A scan of at most ``_WHOLE_SCAN``
-    points is one row (k = m) and so one batch, in which every variable has
-    a broadcast dimension of its own: a batch of several rows puts all the
-    leading variables on one dimension, which on grids of 2**8 to 2**10
-    points made the scan about 8% slower.
-
-    With theta given, rows are first bounded in blocks of at most
-    ``_SCAN_CHUNK // 2`` rows (see ``_viable_rows``), and a row is dropped
-    when theta's upper bound on it is below L or phi's lower bound is L; the
-    batches are then filled from the surviving rows, in order, bounding
-    further blocks as they run short.  Both tests are sound, since no point
-    of a dropped row is a countermodel, so the first hit is still the first
-    countermodel in scan order.  The grid check has no antecedent and scans
-    every row.  Returns the first hit's numerators, or None.
-    """
-    values = np.array(axis, dtype=_lattice_dtype(L))
-    top = values.dtype.type(L)
-    table = _lattice_connectives(top)
-    theta_program = None if theta is None else compile_luk(theta)
-    phi_program = compile_luk(phi)
-    base, m = len(values), len(var_order)
-    k = 1
-    while k < m and (base**k < _FIRST_CHUNK or base**m <= _WHOLE_SCAN):
-        k += 1
-    rows, block = base ** (m - k), max(1, _SCAN_CHUNK // 2)
-    size = _FIRST_CHUNK
-    pending = np.empty((0, m - k), dtype=np.intp)
-    taken = 0  # rows decoded so far
-    while True:
-        wanted = max(1, size // base**k)
-        while len(pending) < wanted and taken < rows:
-            count = min(rows - taken, wanted - len(pending) if theta is None else block)
-            fresh = _row_positions(taken, count, base, m - k)
-            if theta is not None:
-                fresh = _viable_rows(
-                    theta_program, phi_program, var_order, values, top, fresh
-                )
-            taken += count
-            pending = np.concatenate((pending, fresh))
-        if not len(pending):
-            return None
-        hit = _scan_rows(
-            theta_program, phi_program, var_order, values, top, table, pending[:wanted]
-        )
-        if hit is not None:
-            return hit
-        pending = pending[wanted:]
-        size = min(4 * size, _SCAN_CHUNK)
-
-
-def _row_positions(first: int, count: int, base: int, width: int) -> np.ndarray:
-    """Axis positions fixed by rows first..first+count-1, one row per line.
-
-    Row r fixes the ``width`` leading variables to the base-``base`` digits
-    of r, most significant first.  ``first`` is a Python int, so rows past
-    2**63 decode exactly: the t lowest digits, with base**t >= count, come
-    from first's low part plus the offsets within the block, in int64; the
-    digits above them are those of first's high part, or of that plus one
-    on the rows past a carry.
-    """
-    t = 0
-    while t < width and base**t < count:
-        t += 1
-    high, low = divmod(first, base**t)
-    leading = [[], []]  # the digits of high and of high + 1, least first
-    for digits, row in zip(leading, (high, high + 1)):
-        for _ in range(width - t):
-            row, digit = divmod(row, base)
-            digits.append(digit)
-    leading = np.array(leading, dtype=np.intp)[:, ::-1]
-    if t == 0:  # one row
-        return leading[:1]
-    offsets = np.arange(low, low + count)
-    positions = np.empty((count, width), dtype=np.intp)
-    positions[:, : width - t] = leading[(offsets >= base**t).astype(np.intp)]
-    positions[:, width - t :] = offsets[:, None] // base ** np.arange(t - 1, -1, -1) % base
-    return positions
-
-
-def _viable_rows(
-    theta: tuple[tuple, ...],
-    phi: tuple[tuple, ...],
-    var_order: Sequence[int],
-    values: np.ndarray,
-    top: np.integer,
-    rows: np.ndarray,
-) -> np.ndarray:
-    """The rows on which a countermodel is not ruled out by bounds.
-
-    Each row is a box: its leading coordinates are points, and each of the
-    last k variables spans [min, max] of the axis.  ``_bound_luk_lattice``
-    encloses theta and phi over every box at once, on arrays of at most
-    two entries per row.  A row stays when theta's upper bound is L, and
-    then phi's lower bound is below L; phi is bounded only on the rows that
-    theta keeps.  ``top`` is L in the dtype of ``values``.
-    """
-    width = rows.shape[1]
-    whole = np.array([[values.min()], [values.max()]], dtype=values.dtype)
-
-    def bounds(program: tuple[tuple, ...], rows: np.ndarray) -> np.ndarray:
-        binding = {index: whole for index in var_order[width:]}
-        for index, column in zip(var_order, rows.T):
-            binding[index] = values[column][None]  # a point: lower = upper
-        return _bound_luk_lattice(program, binding, top)
-
-    rows = rows[np.broadcast_to(bounds(theta, rows)[-1] == top, len(rows))]
-    if len(rows):
-        rows = rows[np.broadcast_to(bounds(phi, rows)[0] < top, len(rows))]
-    return rows
-
-
-def _scan_rows(
-    theta: tuple[tuple, ...] | None,
-    phi: tuple[tuple, ...],
-    var_order: Sequence[int],
-    values: np.ndarray,
-    top: np.integer,
-    table: dict,
-    rows: np.ndarray,
-) -> tuple[int, ...] | None:
-    """First hit among the points of some rows, as one broadcast slab.
-
-    ``rows`` holds, one row per line in scan order, the axis positions of
-    the leading variables; each of the remaining k variables runs over the
-    whole axis on its own broadcast dimension.  One row binds its leading
-    coordinates as scalars of the axis dtype; several bind each as an array
-    along one first dimension that they share, one entry per row, so the
-    slab's C order is the scan order either way.  The programs run on that
-    binding with ``table``, the lattice connectives over ``top``, which is L
-    in the dtype of ``values``: the axis is already checked.  With theta
-    given, theta is evaluated on the slab and phi only on the points where
-    theta = L, gathered in C order by ``np.nonzero``.
-    """
-    base = len(values)
-    k = len(var_order) - rows.shape[1]
-    axes = [values.reshape((base,) + (1,) * (k - 1 - t)) for t in range(k)]
-    shape = (base,) * k
-    if len(rows) == 1:
-        fixed = [values[position] for position in rows[0]]
-    else:
-        fixed = []
-        axes = [values[column].reshape((-1,) + (1,) * k) for column in rows.T] + axes
-        shape = (len(rows),) + shape
-    if theta is not None:
-        value = _run(theta, dict(zip(var_order, fixed + axes)), table)
-        models = np.broadcast_to(value == top, shape)
-        if not models.any():  # cheaper than an empty np.nonzero
-            return None
-        models = np.nonzero(models)
-        lead = [values[column[models[0]]] for column in rows.T] if len(rows) > 1 else []
-        axes = lead + [values[position] for position in models[-k:]]
-        shape = models[0].shape
-    value = _run(phi, dict(zip(var_order, fixed + axes)), table)
-    misses = np.broadcast_to(value < top, shape)
-    first = int(misses.argmax())
-    if not misses.flat[first]:
-        return None
-    index = np.unravel_index(first, shape)
-    hit = fixed + [np.broadcast_to(a, shape)[index] for a in axes]
-    return tuple(int(value) for value in hit)
 
 
 def _countermodel(

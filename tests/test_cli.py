@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import stablecons
-from stablecons import parse_rational01
+import stablecons.decision
+from stablecons import CONSEQUENCE, ConsequenceVerdict, parse_rational01
 from stablecons.cli import run
 
 
@@ -101,6 +102,14 @@ class TestEvalCommand:
         assert code == 2
         assert doc["error"]["kind"] == "value"
 
+    def test_bool_literal_must_be_0_or_1(self, capsys):
+        code, doc = invoke_json(capsys, "eval", "--bool", "X1", "--at", "X1=2")
+        assert code == 2
+        assert doc["error"] == {
+            "kind": "value",
+            "message": "X1 must be assigned 0 or 1, got '2'",
+        }
+
     def test_out_of_range_value(self, capsys):
         code, doc = invoke_json(capsys, "eval", "--luk", "X1", "--at", "X1=4/3")
         assert code == 2
@@ -154,6 +163,20 @@ class TestReduceCommand:
         code, doc = invoke_json(capsys, "reduce", str(path))
         assert code == 2
         assert doc["error"]["kind"] == "json"
+
+    @pytest.mark.parametrize("command", ["reduce", "check-stable", "check-consequence"])
+    def test_json_nested_past_the_decoder_is_a_json_error(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        code, out, err = invoke(capsys, command, str(path))
+        assert code == 2
+        assert json.loads(out) == {
+            "error": {
+                "kind": "json",
+                "message": "nesting too deep to decode: line 1 column 1 (char 0)",
+            }
+        }
+        assert "Traceback" not in err
 
     def test_invalid_instance(self, capsys, instance_file):
         bad = {"n": 1, "groups": [{"formulas": ["X1", "X1"], "delete": 0}]}
@@ -319,6 +342,17 @@ class TestCheckConsequenceCommand:
             "lattice arithmetic",
         }
 
+    def test_a_negative_bound_is_a_value_error(self, capsys):
+        code, doc = invoke_json(
+            capsys, "check-consequence", "--theta", "X1", "--phi", "X1",
+            "--max-denominator", "-3",
+        )
+        assert code == 2
+        assert doc["error"] == {
+            "kind": "value",
+            "message": "max_denominator must be >= 1, got -3",
+        }
+
     def test_both_modes_rejected(self, capsys, instance_file):
         code, doc = invoke_json(
             capsys,
@@ -377,6 +411,21 @@ class TestHarnessCommand:
             record = json.loads(line)
             assert record["trial"] == i
             assert record["agree"] is True
+
+    def test_a_disagreement_exits_one_with_a_count(self, capsys, monkeypatch):
+        # a grid check that inverts every verdict disagrees on every trial
+        check = stablecons.decision.check_consequence_rho
+
+        def inverted(output, budget):
+            if check(output, budget).kind == CONSEQUENCE:
+                return ConsequenceVerdict.inconclusive(1)
+            return ConsequenceVerdict.consequence(certified=True)
+
+        monkeypatch.setattr(stablecons.decision, "check_consequence_rho", inverted)
+        code, out, err = invoke(capsys, "harness", "--seed", "7", "--trials", "3")
+        assert code == 1
+        assert [json.loads(line)["agree"] for line in out.splitlines()] == [False] * 3
+        assert err == "3 disagreement(s) in 3 trials\n"
 
     def test_zero_trials_empty_report(self, capsys):
         code, out, _ = invoke(capsys, "harness", "--trials", "0")

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 
 import stablecons.decision
 import stablecons.reduction
+import stablecons.semantics
 from stablecons import (
     CONSEQUENCE,
     COUNTERMODEL,
@@ -100,14 +101,14 @@ def scalar_pair_scan(theta, phi, max_denominator):
 def spy_on_scan(monkeypatch):
     """Spy on the runner the scan calls: (program, points bound) per call."""
     calls = []
-    run = stablecons.decision._run
+    run = stablecons.semantics._run
 
     def recording(program, binding, table):
         shape = np.broadcast_shapes(*(np.shape(value) for value in binding.values()))
         calls.append((program, math.prod(shape)))
         return run(program, binding, table)
 
-    monkeypatch.setattr(stablecons.decision, "_run", recording)
+    monkeypatch.setattr(stablecons.semantics, "_run", recording)
     return calls
 
 
@@ -179,6 +180,24 @@ class TestStableBruteforce:
         assert raised.value.needed == "at least 2**3001"
         # at the count itself the enumeration runs: ~X2 and ~X3 hold at once
         assert not stable_bruteforce(instance, budget=3 * 2**3000).stable
+
+    @pytest.mark.parametrize(
+        "budget, shown",
+        [
+            (2**2048 - 1, str(2**2048 - 1)),
+            (2**2048, "at least 2**2048"),
+            (2**15000, "at least 2**15000"),  # str() of it is a ValueError
+        ],
+        ids=["2**2048-1", "2**2048", "2**15000"],
+    )
+    def test_a_budget_too_large_to_print_is_shown_as_a_power(self, budget, shown):
+        instance = StableInstance(20000, (FormulaGroup((Var(20000),), 0),))
+        with pytest.raises(BudgetExceededError) as raised:
+            stable_bruteforce(instance, budget=budget)
+        assert raised.value.budget == budget
+        assert str(raised.value) == (
+            f"stability enumeration needs at least 2**20000 steps, budget is {shown}"
+        )
 
     def test_agrees_with_plain_unsat_when_nothing_is_deleted(self):
         rng = random.Random(321)
@@ -279,11 +298,11 @@ class TestCheckConsequenceRho:
         output = reduce_instance(instance_of(13, ((every, "~X13"), 0)))
         checks = []
 
-        def counting(*args, original=stablecons.decision._lattice_dtype):
+        def counting(*args, original=stablecons.semantics._lattice_dtype):
             checks.append(args)
             return original(*args)
 
-        monkeypatch.setattr(stablecons.decision, "_lattice_dtype", counting)
+        monkeypatch.setattr(stablecons.semantics, "_lattice_dtype", counting)
         calls = spy_on_scan(monkeypatch)
         verdict = check_consequence_rho(output)
         assert verdict.kind == CONSEQUENCE and verdict.certified
@@ -429,7 +448,7 @@ def scan_schedule(first, largest, whole):
     """Run the scan with other chunk sizes: small ones put leading
     (scalar-bound) variables and aligned slabs into small lattices."""
     return mock.patch.multiple(
-        stablecons.decision, _FIRST_CHUNK=first, _SCAN_CHUNK=largest, _WHOLE_SCAN=whole
+        stablecons.semantics, _FIRST_CHUNK=first, _SCAN_CHUNK=largest, _WHOLE_SCAN=whole
     )
 
 

@@ -62,6 +62,11 @@ class TestParseBool:
         with pytest.raises(FormulaSyntaxError):
             parse_bool("X01")
 
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_a_variable_node_below_index_one_is_rejected(self, index):
+        with pytest.raises(ValueError, match=f"variable index must be >= 1, got {index}"):
+            Var(index)
+
     def test_mixed_lattice_operators_rejected(self):
         with pytest.raises(FormulaSyntaxError) as info:
             parse_bool("X1 /\\ X2 \\/ X3")

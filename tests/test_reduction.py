@@ -335,6 +335,11 @@ class TestInstances:
         with pytest.raises(InstanceError):
             StableInstance(1, ())
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_variable_count_must_be_positive(self, n):
+        with pytest.raises(InstanceError, match=f"variable count must be >= 1, got {n}"):
+            StableInstance(n, (FormulaGroup((Var(1),), 0),))
+
     def test_json_round_trip(self):
         doc = {
             "n": 2,
@@ -350,6 +355,28 @@ class TestInstances:
         doc = {"n": 1, "groups": [{"formulas": ["X1 @"], "delete": 0}]}
         with pytest.raises(InstanceError, match=r"groups\[0\].formulas\[0\]"):
             instance_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "instance document must be a JSON object"),
+            ({"n": "1", "groups": []}, '"n" must be an integer'),
+            ({"n": True, "groups": []}, '"n" must be an integer'),
+            ({"n": 1, "groups": []}, '"groups" must be a nonempty list'),
+            ({"n": 1}, '"groups" must be a nonempty list'),
+            ({"n": 1, "groups": ["X1"]}, "groups[0] must be an object"),
+            ({"n": 1, "groups": [{"formulas": [], "delete": 0}]},
+             "groups[0].formulas must be a nonempty list"),
+            ({"n": 1, "groups": [{"formulas": ["X1", 1], "delete": 0}]},
+             "groups[0].formulas[1] must be a string"),
+            ({"n": 1, "groups": [{"formulas": ["X1"], "delete": False}]},
+             "groups[0].delete must be an integer"),
+        ],
+    )
+    def test_json_shape_errors_name_the_field(self, doc, message):
+        with pytest.raises(InstanceError) as raised:
+            instance_from_json(doc)
+        assert str(raised.value) == message
 
     def test_unary_length_accounting(self):
         instance = instance_from_json(

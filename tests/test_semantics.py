@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-import stablecons.decision
+import stablecons.semantics
 from stablecons import (
     And,
     HarnessLimits,
@@ -351,9 +351,9 @@ class TestLatticeDtype:
         axis = [0, 1, 2, 3, 4, 5, 6]
         assert _lattice_dtype(6) == np.int8
         assert _lattice_dtype(6 * scale) == np.int64
-        scan = stablecons.decision._scan
+        scan = stablecons.semantics._scan
         with mock.patch.multiple(
-            stablecons.decision, _FIRST_CHUNK=2, _SCAN_CHUNK=16, _WHOLE_SCAN=2
+            stablecons.semantics, _FIRST_CHUNK=2, _SCAN_CHUNK=16, _WHOLE_SCAN=2
         ):
             narrow = scan(theta, phi, [1, 2, 3, 4], axis, 6)
             wide = scan(theta, phi, [1, 2, 3, 4], [a * scale for a in axis], 6 * scale)

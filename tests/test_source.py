@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import stablecons
 
 SOURCES = sorted(Path(stablecons.__file__).parent.glob("*.py"))
@@ -48,6 +50,44 @@ def test_a_self_call_is_detected():
         "        return super().g() + self.g()\n"
     )
     assert self_calls(ast.parse(source)) == [("f", 2), ("g", 5)]
+
+
+def imports_numpy(tree):
+    """Whether a module imports numpy or a submodule of it, anywhere."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "numpy" for module in modules):
+            return True
+    return False
+
+
+def test_only_semantics_imports_numpy():
+    # the lattice representation (dtype, top value, connective forms,
+    # interval stacking) lives in one module
+    found = [
+        path.name
+        for path in SOURCES
+        if imports_numpy(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == ["semantics.py"]
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import numpy as np\n", True),
+        ("import os, numpy.linalg\n", True),
+        ("def f():\n    from numpy import minimum\n", True),
+        ("import numpyish\nfrom . import numpy\nx = numpy\n", False),
+    ],
+)
+def test_a_numpy_import_is_detected(source, found):
+    assert imports_numpy(ast.parse(source)) is found
 
 
 REPOSITORY = Path(stablecons.__file__).parents[2]
