@@ -15,10 +15,12 @@ denominators 23, 42 and 43, a budget error), ``check-stable``, ``estar`` and
 file (among them renumbered instances and one at n = 2000), and ``nnf``,
 ``ddagger`` and ``parse`` on seeded formulas; last, ``check-stable`` on
 declared n = 20 000 and 10**6 (budget counts too large to print), pair
-mode at denominators 500, 2000 and 10**6, and ``check-stable`` and
-``check-consequence`` on a JSON file nested 200 000 levels deep.  New
-invocations are appended after the existing ones, so earlier lines keep
-their bytes.
+mode at denominators 500, 2000 and 10**6, ``check-stable`` and
+``check-consequence`` on a JSON file nested 200 000 levels deep, and
+``check-stable`` on a UTF-16 file and on an integer of 5000 digits; and
+``reduce``, ``check-consequence`` and ``estar`` with variable counts of
+2**64.  New invocations are appended after the existing ones, so earlier
+lines keep their bytes.
 """
 
 from __future__ import annotations
@@ -168,6 +170,21 @@ def invocations(workdir: Path) -> list[list[str]]:
     deep = workdir / "deep.json"  # past the JSON decoder's recursion
     deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
     calls += [["check-stable", str(deep)], ["check-consequence", str(deep)]]
+
+    # a UTF-16 instance (json.loads would read its bytes) and an integer past
+    # int()'s 4300-digit limit: both JSON errors
+    utf16 = workdir / "utf16.json"
+    text = json.dumps(instance_to_json(StableInstance(1, contradiction)))
+    utf16.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+    digits = workdir / "digits.json"
+    digits.write_text('{"n": ' + "1" * 5000 + ', "groups": []}', encoding="utf-8")
+    calls += [["check-stable", str(utf16)], ["check-stable", str(digits)]]
+    # a declared n of 2**64 with only X1 used, and e* over X1 and X(2**64)
+    path = workdir / "declared2_64.json"
+    path.write_text(json.dumps(instance_to_json(StableInstance(2**64, contradiction))))
+    calls += [["reduce", str(path)], ["check-consequence", str(path)]]
+    far = f"X{2**64}"
+    calls.append(["estar", "--omega", far, "--nabla", far, "--nabla", f"X1 /\\ {far}"])
     return calls
 
 

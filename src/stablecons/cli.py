@@ -71,13 +71,19 @@ def _emit_error(kind: str, message: str, **extra) -> None:
     _emit({"error": {"kind": kind, "message": message, **extra}})
 
 
+class _JsonError(ValueError):
+    """An input file that does not decode as JSON."""
+
+
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        return json.loads(text)
-    except RecursionError:  # the decoder recurses once per nesting level
-        raise json.JSONDecodeError("nesting too deep to decode", text, 0) from None
+    with open(path, "r", encoding="utf-8") as handle:  # as str: no UTF-16/32 sniffing
+        try:
+            text = handle.read()
+            return json.loads(text)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise _JsonError("nesting too deep to decode: line 1 column 1 (char 0)")
+        except ValueError as exc:  # malformed, not UTF-8, or past the int digit limit
+            raise _JsonError(str(exc))
 
 
 _BINDING = re.compile(r"X[1-9][0-9]*")
@@ -331,7 +337,7 @@ def run(argv: list[str]) -> int:
     except InstanceError as exc:
         _emit_error("instance", str(exc))
         return EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except _JsonError as exc:
         _emit_error("json", str(exc))
         return EXIT_USAGE
     except UnboundVariableError as exc:

@@ -22,11 +22,11 @@ zero.  Boolean formulas use only ``~``,
 No walk over a formula recurses, so nesting depth is bounded only by memory.
 ``_nodes`` lists the nodes with an explicit stack, and ``fold`` runs a
 post-order fold over that list: it takes a table from node type to an
-operation on the node and its children's results.  Evaluation and renaming
-are each one such table.  Node equality, hashing and pickling use the flat
-pre-order key of the nodes.  ``repr`` and the printer write their text pieces
-from an explicit stack and join them once, so printing is linear in the
-length of the text.
+operation on the node and its children's results.  Evaluation is one such
+table.  Node equality, hashing and pickling use the flat pre-order key of
+the nodes, and renaming variables rebuilds a formula from its key.  ``repr``
+and the printer write their text pieces from an explicit stack and join them
+once, so printing is linear in the length of the text.
 One stack-based precedence parser reads both languages; the boolean one is
 the connective table without ``(+)``, ``(*)``, ``->`` and ``<->``.  It reads
 the tokens of one compiled regular expression.
@@ -208,7 +208,7 @@ def _nodes(formula: Formula) -> list[Formula]:
 
 
 def _from_key(key: list) -> Formula:
-    """Rebuild a formula from its ``_Node._key`` record (used by pickle)."""
+    """Rebuild a formula from its ``_Node._key`` record (pickle, ``_rename``)."""
     built: list[Formula] = []
     for item in reversed(key):  # post-order, left child first
         if type(item) is int:
@@ -219,6 +219,11 @@ def _from_key(key: list) -> Formula:
             right = built.pop()
             built[-1] = item(built[-1], right)
     return built[0]
+
+
+def _rename(formula: Formula, mapping: Mapping[int, int]) -> Formula:
+    """``formula`` with every variable index i replaced by ``mapping[i]``."""
+    return _from_key([mapping[i] if type(i) is int else i for i in formula._key()])
 
 
 def fold(formula: Formula, table: Mapping[type, Callable[..., Any]]) -> Any:

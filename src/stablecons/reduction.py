@@ -16,10 +16,10 @@ and no verdict reads the statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Any, Mapping
+from typing import Any
 
 from .formulas import (
     And,
@@ -34,8 +34,8 @@ from .formulas import (
     Or,
     Otimes,
     Var,
+    _rename,
     bool_to_text,
-    fold,
     iff,
     implies,
     measure,
@@ -162,10 +162,12 @@ class FormulaGroup:
 
 @dataclass(frozen=True, slots=True)
 class StableInstance:
-    """Groups of boolean formulas over X_1..X_n with per-group deletions."""
+    """Groups of boolean formulas over X_1..X_n with per-group deletions;
+    ``used``, derived by validation, lists the indices that occur, sorted."""
 
     n: int
     groups: tuple[FormulaGroup, ...]
+    used: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "groups", tuple(self.groups))
@@ -173,13 +175,17 @@ class StableInstance:
             raise InstanceError(f"variable count must be >= 1, got {self.n}")
         if not self.groups:
             raise InstanceError("an instance needs at least one group")
+        used: set[int] = set()
         for group in self.groups:
             for formula in group.formulas:
-                high = max(variables(formula))
+                indices = variables(formula)
+                high = max(indices)
                 if high > self.n:
                     raise InstanceError(
                         f"formula uses X{high} but the instance declares n={self.n}"
                     )
+                used |= indices
+        object.__setattr__(self, "used", tuple(sorted(used)))
 
 
 def instance_from_json(doc: Any) -> StableInstance:
@@ -293,47 +299,27 @@ class ReductionOutput:
         )
 
 
-def _rename(formula: BoolFormula, mapping: Mapping[int, int]) -> BoolFormula:
-    return fold(
-        formula,
-        {
-            Var: lambda node: Var(mapping[node.index]),
-            Not: lambda node, child: Not(child),
-            And: lambda node, left, right: And(left, right),
-            Or: lambda node, left, right: Or(left, right),
-        },
-    )
-
-
 def normalize_variables(instance: StableInstance) -> tuple[StableInstance, dict[int, int]]:
     """Renumber the variables that actually occur to a gapless 1..m.
 
     The consequent formula references X_1 and the grid antecedent covers all
-    of 1..n, so instances whose used variables are not exactly {1, ..., n}
-    are renumbered contiguously.  Returns the (possibly unchanged) instance
-    and the original-to-normalized index map over the used variables.
+    of 1..n, so an instance is renumbered contiguously when ``instance.used``
+    (validated to lie inside 1..n) has fewer than n entries; n is never
+    enumerated.  Returns the (possibly unchanged) instance and the
+    original-to-normalized index map over the used variables.
     """
-    used = sorted(
-        {
-            index
-            for group in instance.groups
-            for formula in group.formulas
-            for index in variables(formula)
-        }
-    )
+    used = instance.used
     mapping = {old: new for new, old in enumerate(used, start=1)}
-    if used == list(range(1, instance.n + 1)):
+    if len(used) == instance.n:
         return instance, mapping
-    groups = tuple(
-        FormulaGroup(
-            tuple(_rename(f, mapping) for f in group.formulas), group.delete_count
-        )
+    groups = [
+        FormulaGroup([_rename(f, mapping) for f in group.formulas], group.delete_count)
         for group in instance.groups
-    )
+    ]
     return StableInstance(len(used), groups), mapping
 
 
-def consequent(instance: StableInstance, e: int) -> LukFormula:
+def consequent(instance: StableInstance) -> LukFormula:
     """Join, over the groups, of "the translated block implies the (d+1)-th
     strong power of X1 \\/ ~X1".
 
@@ -343,7 +329,7 @@ def consequent(instance: StableInstance, e: int) -> LukFormula:
     every group within its deletion allowance simultaneously, i.e. at a
     witness against stability.  Combining with the idempotent conjunction
     instead would additionally reject instances whose groups are only
-    jointly, not individually, over-determined.
+    jointly, not individually, over-determined.  It does not depend on e.
     """
     target_base = Join(Var(1), Neg(Var(1)))
 
@@ -356,16 +342,15 @@ def consequent(instance: StableInstance, e: int) -> LukFormula:
 
 def reduce_instance(instance: StableInstance) -> ReductionOutput:
     """The full reduction: consequent now, grid antecedent and size
-    accounting on first read.
+    accounting on first read (see ``ReductionOutput``).
 
     The instance is variable-normalized first, and e = max(2, the largest
-    deletion count).  ``theta`` and ``stats`` of the result are built only
-    when they are read (see ``ReductionOutput``).
+    deletion count).
     """
     normalized, var_map = normalize_variables(instance)
     e = max(2, max(group.delete_count for group in normalized.groups))
     return ReductionOutput(
-        phi=consequent(normalized, e),
+        phi=consequent(normalized),
         e=e,
         var_map=var_map,
         instance=normalized,

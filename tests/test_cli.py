@@ -178,6 +178,44 @@ class TestReduceCommand:
         }
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["reduce", "check-stable", "check-consequence"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            # files json.loads would decode from bytes, but not UTF-8 ones
+            (
+                b"\xff\xfe" + json.dumps(CONTRADICTION).encode("utf-16-le"),
+                "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
+            (
+                b"\xff\xfe\x00\x00" + json.dumps(CONTRADICTION).encode("utf-32-le"),
+                "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
+            # past int()'s limit of 4300 digits
+            (
+                b'{"n": ' + b"1" * 5000 + b', "groups": []}',
+                "Exceeds the limit (4300 digits) for integer string conversion",
+            ),
+        ],
+        ids=["utf-16", "utf-32", "5000-digits"],
+    )
+    def test_an_undecodable_file_is_a_json_error(
+        self, capsys, tmp_path, command, content, message
+    ):
+        path = tmp_path / "instance.json"
+        path.write_bytes(content)
+        code, out, err = invoke(capsys, command, str(path))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "json"
+        assert error["message"].startswith(message)
+        assert "Traceback" not in err
+
+    def test_a_declared_n_of_2_64_reduces_as_n_1(self, capsys, instance_file):
+        expected = invoke_json(capsys, "reduce", instance_file(CONTRADICTION))
+        path = instance_file({**CONTRADICTION, "n": 2**64}, name="declared.json")
+        assert invoke_json(capsys, "reduce", path) == expected
+
     def test_invalid_instance(self, capsys, instance_file):
         bad = {"n": 1, "groups": [{"formulas": ["X1", "X1"], "delete": 0}]}
         code, doc = invoke_json(capsys, "reduce", instance_file(bad))
@@ -257,6 +295,17 @@ class TestCheckConsequenceCommand:
         assert code == 1
         assert doc["kind"] == "countermodel"
         assert doc["witness"] == {"X1": "1/3"}
+
+    @pytest.mark.parametrize("n", [2**64, 10**10])
+    @pytest.mark.parametrize("doc", [CONTRADICTION, LOOSENED])
+    def test_a_declared_n_is_a_quick_verdict(self, capsys, instance_file, doc, n):
+        # only X1 occurs, so the grid has 2 points, not 2**n
+        expected = invoke_json(capsys, "check-consequence", instance_file(doc))
+        path = instance_file({**doc, "n": n}, name="declared.json")
+        started = time.perf_counter()
+        verdict = invoke_json(capsys, "check-consequence", path)
+        assert time.perf_counter() - started < 1
+        assert verdict == expected
 
     def test_pair_mode_countermodel(self, capsys):
         code, doc = invoke_json(
@@ -392,6 +441,14 @@ class TestEstarCommand:
         assert code == 0
         assert doc["e_star"] == 2
         assert doc["nabla_size"] == 3
+
+    def test_a_variable_index_of_2_64_is_renumbered(self, capsys):
+        far = f"X{2**64}"
+        code, doc = invoke_json(
+            capsys, "estar", "--omega", far, "--nabla", far, "--nabla", f"X1 /\\ {far}"
+        )
+        assert code == 0
+        assert doc == {"e_star": 1, "checks_performed": 2, "nabla_size": 2}
 
     def test_no_entailment_exits_one(self, capsys):
         code, doc = invoke_json(

@@ -37,7 +37,7 @@ from formula_strategies import (
     variable_occurrences,
 )
 
-from stablecons.formulas import fold
+from stablecons.formulas import _rename, fold
 
 
 class TestParseBool:
@@ -381,9 +381,35 @@ class TestNodeProtocols:
         assert copy.deepcopy(formula) is formula
 
 
+def fold_rename(formula, mapping):
+    """Reference renaming: a fold that rebuilds every node."""
+    rebuild = {
+        kind: lambda node, *children: type(node)(*children)
+        for kind in (Not, And, Or, Neg, Oplus, Otimes, Meet, Join)
+    }
+    return fold(formula, {**rebuild, Var: lambda node: Var(mapping[node.index])})
+
+
 class TestWalkers:
     def test_variables(self):
         assert variables(parse_bool("X2 /\\ (X5 \\/ ~X2)")) == {2, 5}
+
+    @given(
+        st.one_of(luk_formulas(), bool_formulas()),
+        st.permutations(range(1, 5)),
+        st.sampled_from([0, 2**64]),
+    )
+    def test_rename_matches_a_fold_reference(self, formula, image, shift):
+        mapping = {old: new + shift for old, new in zip(range(1, 5), image)}
+        renamed = _rename(formula, mapping)
+        assert type(renamed) is type(formula)
+        assert renamed == fold_rename(formula, mapping)
+
+    @pytest.mark.parametrize("parse", [parse_luk, parse_bool])
+    def test_rename_does_not_recurse(self, parse):
+        depth = 100_000
+        renamed = _rename(parse("~" * depth + "(X1 /\\ X3)"), {1: 2, 3: 1})
+        assert renamed == parse("~" * depth + "(X2 /\\ X1)")
 
     def test_variable_occurrences(self):
         counts = variable_occurrences(parse_bool("X1 /\\ (X1 \\/ ~X2)"))

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import stablecons.reduction
 from stablecons import (
     And,
     FormulaGroup,
@@ -283,7 +284,7 @@ class TestConsequent:
     def test_single_group_shape(self):
         instance = StableInstance(1, (FormulaGroup((Var(1),), 0),))
         expected = implies(ddagger(Var(1)), power(Join(Var(1), Neg(Var(1))), 1))
-        assert consequent(instance, 2) == expected
+        assert consequent(instance) == expected
 
     @pytest.mark.parametrize("e", [2, 3, 4])
     def test_excluded_middle_power_value_on_grid(self, e):
@@ -388,6 +389,23 @@ class TestInstances:
         assert instance_length(instance) == formulas_cost + 2
 
 
+GAPS = {
+    "n": 9,
+    "groups": [
+        {"formulas": ["X3", "X7 \\/ ~X3", "~X9"], "delete": 1},
+        {"formulas": ["X9 /\\ X7"], "delete": 0},
+    ],
+}
+
+GAPLESS = {
+    "n": 3,
+    "groups": [
+        {"formulas": ["X1", "X2 \\/ ~X1", "~X3"], "delete": 1},
+        {"formulas": ["X3 /\\ X2"], "delete": 0},
+    ],
+}
+
+
 class TestNormalization:
     def test_gapless_instance_untouched(self):
         instance = instance_from_json(
@@ -406,6 +424,32 @@ class TestNormalization:
         assert normalized.n == 1
         assert normalized.groups[0].formulas[0] == Or(Var(1), Not(Var(1)))
 
+    def test_used_is_derived_and_ignored_by_equality(self):
+        instance = instance_from_json(GAPS)
+        assert instance.used == (3, 7, 9)
+        assert "used" not in repr(instance)
+        assert instance == StableInstance(instance.n, instance.groups)
+        assert normalize_variables(instance)[0].used == (1, 2, 3)
+
+    @pytest.mark.parametrize("doc", [GAPS, GAPLESS], ids=["gaps", "gapless"])
+    def test_each_formula_is_walked_once(self, monkeypatch, doc):
+        # validation collects the used indices and normalization reads them;
+        # only a renumbered instance's own validation walks its new formulas
+        walked = []
+
+        def spy(formula):
+            walked.append(formula)
+            return variables(formula)
+
+        monkeypatch.setattr(stablecons.reduction, "variables", spy)
+        instance = instance_from_json(doc)
+        normalized = reduce_instance(instance).instance
+        formulas = [f for group in instance.groups for f in group.formulas]
+        if normalized is not instance:
+            formulas += [f for group in normalized.groups for f in group.formulas]
+        assert list(map(id, walked)) == list(map(id, formulas))
+        assert len(walked) == (8 if doc is GAPS else 4)
+
 
 class TestReduce:
     def test_contradictory_singleton_pair(self):
@@ -415,7 +459,7 @@ class TestReduce:
         output = reduce_instance(instance)
         assert output.e == 2
         assert output.theta == constraint_formula(1, 2)
-        assert output.phi == consequent(instance, 2)
+        assert output.phi == consequent(instance)
 
     def test_parameter_is_max_of_two_and_deletions(self):
         instance = instance_from_json(
@@ -464,7 +508,7 @@ class TestReduce:
             inst_len = instance_length(normalized)
             out_len = (
                 measure(theta).paper_symbol_count
-                + measure(consequent(normalized, output.e)).paper_symbol_count
+                + measure(consequent(normalized)).paper_symbol_count
             )
             stats = output.stats
             assert (stats.instance_length, stats.output_length, stats.n) == (
