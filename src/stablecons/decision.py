@@ -340,6 +340,17 @@ class HarnessLimits:
     max_vars: int = 3
     max_connectives: int = 6
 
+    def __post_init__(self) -> None:
+        for name, least in (
+            ("max_groups", 1),
+            ("max_group_size", 1),
+            ("max_vars", 1),
+            ("max_connectives", 0),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+
 
 def random_bool_formula(
     rng: random.Random, n_vars: int, max_connectives: int
@@ -400,8 +411,11 @@ def harness_trials(
     """Generate instances and compare the two decision routes, one record each.
 
     Each record carries the full instance, both verdicts and their agreement;
-    identical seeds yield identical streams.
+    identical seeds yield identical streams.  A negative ``trials`` is a
+    ``ValueError`` when iteration starts.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     rng = random.Random(seed)
     for trial in range(trials):
         instance = random_instance(rng, limits)

@@ -182,6 +182,9 @@ def _lattice_dtype(denominator: int) -> np.dtype:
     raise ValueError(f"denominator {L} too large for int64 lattice arithmetic")
 
 
+_LUK_BINARY = frozenset((Oplus, Otimes, Meet, Join))
+
+
 def compile_luk(formula: LukFormula) -> tuple[tuple, ...]:
     """Compile a formula into a hash-consed straight-line program.
 
@@ -198,21 +201,25 @@ def compile_luk(formula: LukFormula) -> tuple[tuple, ...]:
     pass keeps a stack of slots as ``fold`` keeps one of results, without
     its call per node, since it runs on every scan.  Instructions come in
     post-order of first occurrence, left child first.  Each slot dies at
-    the last instruction that reads it; the root never dies.
+    the last instruction that reads it; the root never dies.  A node outside
+    the Łukasiewicz language is a ``TypeError``.
     """
     code: list[tuple] = []
     slots: dict[tuple, int] = {}
     last_read: dict[int, int] = {}
     stack: list[int] = []
+    binary = _LUK_BINARY  # a local, read at every node that is not a variable
     for node in reversed(_nodes(formula)):  # children before parents, left first
         kind = type(node)
         if kind is Var:
             key = (Var, node.index, None)
+        elif kind in binary:
+            right = stack.pop()
+            key = (kind, stack.pop(), right)
         elif kind is Neg:
             key = (Neg, stack.pop(), None)
         else:
-            right = stack.pop()
-            key = (kind, stack.pop(), right)
+            raise TypeError(f"unexpected node {kind.__name__}")
         slot = slots.get(key)
         if slot is None:
             slot = slots[key] = len(code)
@@ -274,6 +281,7 @@ def _run(program: tuple[tuple, ...], binding: Mapping[int, object], table: dict)
 _WHOLE_SCAN = 1 << 12
 _FIRST_CHUNK = 64
 _SCAN_CHUNK = 1 << 16
+_LAST_ROW = np.iinfo(np.intp).max  # np.arange may wrap past it, not raise
 
 
 def _scan(
@@ -295,13 +303,14 @@ def _scan(
 
     The points fall into rows: a row fixes the first m-k variables and runs
     the last k over the whole axis, with k the smallest value (at least 1,
-    at most m) for which a row holds ``_FIRST_CHUNK`` points.  Rows are
-    scanned in order, in batches (see ``_scan_rows``) of ``_FIRST_CHUNK``
-    points growing four-fold up to ``_SCAN_CHUNK``, at least one row each.
-    Each batch starts where the previous one ended, so an early hit stays
-    cheap and no point is scanned twice.  A scan of at most ``_WHOLE_SCAN``
-    points is one row (k = m) and so one batch, in which every variable has
-    a broadcast dimension of its own: a batch of several rows puts all the
+    at most m) for which a row holds ``_FIRST_CHUNK`` points, and is held
+    as its m-k leading coordinates (``_row_positions``).  Rows are scanned
+    in order, in batches (see ``_scan_rows``) of ``_FIRST_CHUNK`` points
+    growing four-fold up to ``_SCAN_CHUNK``, at least one row each.  Each
+    batch starts where the previous one ended, so an early hit stays cheap
+    and no point is scanned twice.  A scan of at most ``_WHOLE_SCAN`` points
+    is one row (k = m) and so one batch, in which every variable has a
+    broadcast dimension of its own: a batch of several rows puts all the
     leading variables on one dimension, which on grids of 2**8 to 2**10
     points made the scan about 8% slower.
 
@@ -325,13 +334,13 @@ def _scan(
         k += 1
     rows, block = base ** (m - k), max(1, _SCAN_CHUNK // 2)
     size = _FIRST_CHUNK
-    pending = np.empty((0, m - k), dtype=np.intp)
+    pending = np.empty((0, m - k), dtype=values.dtype)
     taken = 0  # rows decoded so far
     while True:
         wanted = max(1, size // base**k)
         while len(pending) < wanted and taken < rows:
             count = min(rows - taken, wanted - len(pending) if theta is None else block)
-            fresh = _row_positions(taken, count, base, m - k)
+            fresh = values[_row_positions(taken, count, base, m - k)]
             if theta is not None:
                 fresh = _viable_rows(
                     theta_program, phi_program, var_order, values, top, fresh
@@ -353,26 +362,19 @@ def _row_positions(first: int, count: int, base: int, width: int) -> np.ndarray:
     """Axis positions fixed by rows first..first+count-1, one row per line.
 
     Row r fixes the ``width`` leading variables to the base-``base`` digits
-    of r, most significant first.  ``first`` is a Python int, so rows past
-    2**63 decode exactly: the t lowest digits, with base**t >= count, come
-    from first's low part plus the offsets within the block, in int64; the
-    digits above them are those of first's high part, or of that plus one
-    on the rows past a carry.
+    of r, most significant first, decoded in one step from r in ``np.intp``.
+    A row past that dtype is an ``OverflowError``; a scan, which decodes its
+    rows of at least ``_FIRST_CHUNK`` points in order from 0, never reaches
+    one.
     """
-    t = 0
-    while t < width and base**t < count:
+    if first + count - 1 > _LAST_ROW:
+        raise OverflowError(f"row {first + count - 1} does not fit np.intp")
+    t = 0  # every digit above the t lowest is 0
+    while t < width and base**t < first + count:
         t += 1
-    high, low = divmod(first, base**t)
-    leading = [[], []]  # the digits of high and of high + 1, least first
-    for digits, row in zip(leading, (high, high + 1)):
-        for _ in range(width - t):
-            row, digit = divmod(row, base)
-            digits.append(digit)
-    leading = np.array(leading, dtype=np.intp)[:, ::-1]
-    offsets = np.arange(low, low + count)
-    positions = np.empty((count, width), dtype=np.intp)
-    positions[:, : width - t] = leading[(offsets >= base**t).astype(np.intp)]
-    positions[:, width - t :] = offsets[:, None] // base ** np.arange(t - 1, -1, -1) % base
+    rows = np.arange(first, first + count, dtype=np.intp)
+    positions = np.zeros((count, width), dtype=np.intp)
+    positions[:, width - t :] = rows[:, None] // base ** np.arange(t - 1, -1, -1) % base
     return positions
 
 
@@ -386,8 +388,9 @@ def _viable_rows(
 ) -> np.ndarray:
     """The rows on which a countermodel is not ruled out by bounds.
 
-    Each row is a box: its leading coordinates are points, and each of the
-    last k variables spans [min, max] of the axis.  ``_bound_luk_lattice``
+    Each line of ``rows``, leading coordinates in the dtype of ``values``,
+    is a box: those coordinates are points, and each of the last k
+    variables spans [min, max] of the axis.  ``_bound_luk_lattice``
     encloses theta and phi over every box at once, on arrays of at most
     two entries per row.  A row stays when theta's upper bound is L, and
     then phi's lower bound is below L; phi is bounded only on the rows that
@@ -397,9 +400,8 @@ def _viable_rows(
     whole = np.array([[values.min()], [values.max()]], dtype=values.dtype)
 
     def bounds(program: tuple[tuple, ...], rows: np.ndarray) -> np.ndarray:
-        binding = {index: whole for index in var_order[width:]}
-        for index, column in zip(var_order, rows.T):
-            binding[index] = values[column][None]  # a point: lower = upper
+        binding = dict(zip(var_order, rows.T[:, None]))  # points: lower = upper
+        binding.update((index, whole) for index in var_order[width:])
         return _bound_luk_lattice(program, binding, top)
 
     rows = rows[np.broadcast_to(bounds(theta, rows)[-1] == top, len(rows))]
@@ -419,16 +421,15 @@ def _scan_rows(
 ) -> tuple[int, ...] | None:
     """First hit among the points of some rows, as one broadcast slab.
 
-    ``rows`` holds, one row per line in scan order, the axis positions of
-    the leading variables; each of the remaining k variables runs over the
-    whole axis on its own broadcast dimension.  One row binds its leading
-    coordinates as scalars of the axis dtype; several bind each as an array
-    along one first dimension that they share, one entry per row, so the
-    slab's C order is the scan order either way.  The programs run on that
-    binding with ``table``, the lattice connectives over ``top``, which is L
-    in the dtype of ``values``: the axis is already checked.  With theta
-    given, theta is evaluated on the slab and phi only on the points where
-    theta = L, gathered in C order by ``np.nonzero``.
+    ``rows`` holds the leading coordinates, one row per line in scan order;
+    each of the remaining k variables runs over the whole axis on its own
+    broadcast dimension.  One row binds its leading coordinates as scalars;
+    several bind each column as an array along one shared first dimension,
+    so the slab's C order is the scan order either way.  The programs run on
+    that binding with ``table``, the lattice connectives over ``top`` (L);
+    ``top`` and ``rows`` are in the dtype of ``values``, already checked.
+    With theta given, theta is evaluated on the slab and phi only on the
+    points where theta = L, gathered in C order by ``np.nonzero``.
 
     Both forks pay (3 of 3 timed rounds each): one row bound as arrays, not
     scalars, made ``check_consequence_rho`` on ``grid-early`` about 10%
@@ -440,10 +441,10 @@ def _scan_rows(
     axes = [values.reshape((base,) + (1,) * (k - 1 - t)) for t in range(k)]
     shape = (base,) * k
     if len(rows) == 1:
-        fixed = [values[position] for position in rows[0]]
+        fixed = list(rows[0])
     else:
         fixed = []
-        axes = [values[column].reshape((-1,) + (1,) * k) for column in rows.T] + axes
+        axes = [column.reshape((-1,) + (1,) * k) for column in rows.T] + axes
         shape = (len(rows),) + shape
     if theta is not None:
         value = _run(theta, dict(zip(var_order, fixed + axes)), table)
@@ -451,7 +452,7 @@ def _scan_rows(
         if not models.any():  # cheaper than an empty np.nonzero
             return None
         models = np.nonzero(models)
-        lead = [values[column[models[0]]] for column in rows.T] if len(rows) > 1 else []
+        lead = [column[models[0]] for column in rows.T] if len(rows) > 1 else []
         axes = lead + [values[position] for position in models[-k:]]
         shape = models[0].shape
     value = _run(phi, dict(zip(var_order, fixed + axes)), table)

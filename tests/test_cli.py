@@ -489,6 +489,24 @@ class TestHarnessCommand:
         assert code == 0
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trials", "-1", "trials must be >= 0, got -1"),
+            ("--max-vars", "0", "max_vars must be >= 1, got 0"),
+            ("--max-groups", "0", "max_groups must be >= 1, got 0"),
+            ("--max-group-size", "0", "max_group_size must be >= 1, got 0"),
+            ("--max-formula-size", "-1", "max_connectives must be >= 0, got -1"),
+        ],
+    )
+    def test_a_limit_out_of_range_is_a_value_error(self, capsys, flag, value, message):
+        # each names its field, not randrange's "empty range", and a negative
+        # --trials is an error, not an empty report
+        argv = ["harness", "--seed", "1", "--trials", "3", flag, value]
+        code, doc = invoke_json(capsys, *argv)
+        assert code == 2
+        assert doc == {"error": {"kind": "value", "message": message}}
+
     def test_same_seed_same_bytes(self, capsys):
         _, first, _ = invoke(capsys, "harness", "--seed", "42", "--trials", "8")
         _, second, _ = invoke(capsys, "harness", "--seed", "42", "--trials", "8")
@@ -540,3 +558,19 @@ class TestDeterminism:
             fresh.append((done.returncode, done.stdout))
         assert in_process == fresh
         assert [code for code, _ in fresh] == [1, 2, 0, 2, 1]
+
+    def test_the_digest_script_reproduces_its_pinned_output(self):
+        # scripts/cli_digest.py pins stdout and exit code of fixed CLI calls;
+        # comparing lines of bytes shows the first line that moved
+        scripts = Path(__file__).resolve().parents[1] / "scripts"
+        src = str(Path(stablecons.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, str(scripts / "cli_digest.py")],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        pinned = (scripts / "cli_digest.txt").read_bytes()
+        lines = done.stdout.splitlines(keepends=True)
+        assert lines == pinned.splitlines(keepends=True)

@@ -370,6 +370,21 @@ class TestFindCountermodel:
         with pytest.raises(BudgetExceededError):
             find_countermodel(theta, parse_luk("X1"), 12, budget=100)
 
+    @pytest.mark.parametrize(
+        "theta, phi, name",
+        [
+            # the kind is checked before compile_luk pops its slot stack, so
+            # neither an IndexError there nor a KeyError in the runner
+            (parse_bool("~X1"), parse_luk("X1"), "Not"),
+            (parse_bool("X1 /\\ X2"), parse_luk("X1"), "And"),
+            (parse_luk("X1"), parse_bool("X1 \\/ X2"), "Or"),
+            (parse_luk("X1"), Otimes(Var(1), Not(Var(2))), "Not"),
+        ],
+    )
+    def test_a_boolean_node_is_a_type_error(self, theta, phi, name):
+        with pytest.raises(TypeError, match=f"unexpected node {name}$"):
+            find_countermodel(theta, phi, 2)
+
     def test_witness_is_lexicographically_first(self):
         # antecedent is 1 on [1/2, 1] x anything; scan order is ascending in
         # X1 first, then X2, so the first hit is (1/2, 0)
@@ -615,6 +630,33 @@ class TestHarness:
 
     def test_zero_trials(self):
         assert list(harness_trials(seed=1, trials=0)) == []
+
+    def test_negative_trials_are_a_value_error(self):
+        with pytest.raises(ValueError, match="^trials must be >= 0, got -1$"):
+            list(harness_trials(seed=1, trials=-1))
+
+    @pytest.mark.parametrize(
+        "field, least",
+        [
+            ("max_groups", 1),
+            ("max_group_size", 1),
+            ("max_vars", 1),
+            ("max_connectives", 0),
+        ],
+    )
+    def test_limits_below_their_least_value_are_value_errors(self, field, least):
+        for value in (least - 1, -(2**70)):
+            message = f"^{field} must be >= {least}, got {value}$"
+            with pytest.raises(ValueError, match=message):
+                HarnessLimits(**{field: value})
+
+    def test_the_least_limits_draw_instances(self):
+        limits = HarnessLimits(
+            max_groups=1, max_group_size=1, max_vars=1, max_connectives=0
+        )
+        records = list(harness_trials(seed=2, trials=10, limits=limits))
+        assert all(record["agree"] for record in records)
+        assert {record["instance"]["n"] for record in records} == {1}
 
 
 class TestEstar:

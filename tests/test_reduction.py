@@ -97,6 +97,19 @@ class TestNnf:
         once = nnf(formula)
         assert nnf(once) == once
 
+    @pytest.mark.parametrize("translate", [nnf, ddagger])
+    @pytest.mark.parametrize(
+        "formula, name",
+        [
+            (Oplus(Var(1), Var(2)), "Oplus"),
+            (Neg(Var(1)), "Neg"),
+            (Not(And(Var(1), Meet(Var(2), Var(3)))), "Meet"),
+        ],
+    )
+    def test_a_lukasiewicz_node_is_a_type_error(self, translate, formula, name):
+        with pytest.raises(TypeError, match=f"unexpected node {name}$"):
+            translate(formula)
+
 
 class TestDdagger:
     def test_positive_literal(self):

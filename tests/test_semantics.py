@@ -37,7 +37,12 @@ from stablecons import (
     variables,
 )
 from stablecons.formulas import fold
-from stablecons.semantics import _bound_luk_lattice, _lattice_dtype, compile_luk
+from stablecons.semantics import (
+    _bound_luk_lattice,
+    _lattice_dtype,
+    _row_positions,
+    compile_luk,
+)
 from formula_strategies import (
     bool_formulas,
     eval_lattice,
@@ -210,6 +215,14 @@ class TestEvalBool:
         with pytest.raises(UnboundVariableError, match="X2"):
             eval_bool(Var(2), {1: 1})
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [("X1 (+) X2", "Oplus"), ("~X1", "Neg"), ("X1 /\\ (X1 (*) X2)", "Otimes")],
+    )
+    def test_a_lukasiewicz_node_is_a_type_error(self, text, name):
+        with pytest.raises(TypeError, match=f"unexpected node {name}$"):
+            eval_bool(parse_luk(text), {1: 1, 2: 0})
+
     @given(bool_formulas(max_index=4))
     def test_agreement_with_embedding(self, formula):
         # Not/And/Or become Neg/Meet/Join; on 0/1 inputs the images compute
@@ -328,6 +341,12 @@ class TestLatticeDtype:
             point = {i: Fraction(v, L) for i, v in zip((1, 2), row)}
             assert Fraction(int(value), L) == eval_luk(formula, point)
 
+    @pytest.mark.parametrize("L", [0, -1, -(2**70)])
+    def test_rejects_a_denominator_below_1(self, L):
+        with pytest.raises(ValueError, match=f"denominator must be >= 1, got {L}$"):
+            _lattice_dtype(L)
+        assert _lattice_dtype(1) == np.int8
+
     def test_rejects_a_denominator_past_int64(self):
         with pytest.raises(ValueError, match="too large"):
             _lattice_dtype(2**63)
@@ -431,6 +450,60 @@ class TestCompiledProgram:
                 if hasattr(node, name):
                     stack.append(getattr(node, name))
         assert len(code) == len(distinct)
+
+    @pytest.mark.parametrize(
+        "formula, name",
+        [
+            (Not(Var(1)), "Not"),
+            (And(Var(1), Var(2)), "And"),
+            (Or(Var(1), Var(2)), "Or"),
+            (Oplus(Var(1), Not(Var(2))), "Not"),
+            (Neg(And(Var(1), Var(1))), "And"),
+            (Meet(Join(Var(1), Var(2)), Or(Var(2), Neg(Var(3)))), "Or"),
+        ],
+    )
+    def test_a_node_outside_the_language_is_a_type_error(self, formula, name):
+        # checked before the slot stack is popped, so neither an IndexError
+        # nor a program that the runner cannot run
+        with pytest.raises(TypeError, match=f"unexpected node {name}$"):
+            compile_luk(formula)
+
+
+# ---------------------------------------------------------------------------
+# the row decoder of the scan
+
+
+def python_digits(row, base, width):
+    """Test-local reference: the ``width`` base-``base`` digits of ``row``."""
+    digits = []
+    for _ in range(width):
+        row, digit = divmod(row, base)
+        digits.append(digit)
+    return digits[::-1]
+
+
+class TestRowPositions:
+    @given(st.integers(2, 40), st.integers(0, 70), st.data())
+    def test_matches_python_digits(self, base, width, data):
+        # rows past 2**63 - 1 do not fit np.intp; widths past 63 bits do
+        end = min(base**width, 2**63)
+        near_the_end = st.integers(max(0, end - 200), end - 1)
+        first = data.draw(st.one_of(st.integers(0, end - 1), near_the_end))
+        count = data.draw(st.integers(1, min(end - first, 200)))
+        positions = _row_positions(first, count, base, width)
+        assert positions.dtype == np.intp
+        assert positions.shape == (count, width)
+        rows = range(first, first + count)
+        assert positions.tolist() == [python_digits(row, base, width) for row in rows]
+
+    @pytest.mark.parametrize(
+        "first, count", [(2**63 - 2, 3), (2**63 - 1, 2), (2**63, 1), (2**70, 3)]
+    )
+    def test_a_row_past_int64_is_an_error(self, first, count):
+        # np.arange(2**63 - 2, 2**63 + 1, dtype=np.intp) wraps to -2**63
+        # instead of raising
+        with pytest.raises(OverflowError, match=f"row {first + count - 1} "):
+            _row_positions(first, count, 2, 72)
 
 
 # ---------------------------------------------------------------------------
