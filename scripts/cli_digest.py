@@ -94,7 +94,7 @@ def invocations(workdir: Path) -> list[list[str]]:
 
     rng = random.Random(20261018)
     for i in range(60):
-        limits = HarnessLimits(max_vars=rng.randint(1, 14), max_connectives=8)
+        limits = HarnessLimits(max_vars=rng.randint(1, 14), max_formula_size=8)
         path = instance_file(f"random{i}.json", random_instance(rng, limits))
         calls.append(["check-consequence", path])
         if i % 10 == 0:

@@ -36,7 +36,7 @@ def main() -> int:
         max_groups=args.max_groups,
         max_group_size=args.max_group_size,
         max_vars=args.max_vars,
-        max_connectives=args.max_formula_size,
+        max_formula_size=args.max_formula_size,
     )
     rng = random.Random(args.seed)
     rows = []

@@ -89,11 +89,18 @@ def _load_json(path: str):
 _BINDING = re.compile(r"X[1-9][0-9]*")
 
 
-def _parse_binding(text: str) -> tuple[int, str]:
-    name, sep, value = text.partition("=")
-    if not sep or not _BINDING.fullmatch(name):
-        raise ValueError(f"binding must look like X3=2/5, got {text!r}")
-    return int(name[1:]), value
+def _parse_bindings(texts: list[str]) -> dict[int, str]:
+    """Variable index -> value text of each ``X3=2/5``; one binding per variable."""
+    bindings: dict[int, str] = {}
+    for text in texts:
+        name, sep, value = text.partition("=")
+        if not sep or not _BINDING.fullmatch(name):
+            raise ValueError(f"binding must look like X3=2/5, got {text!r}")
+        index = int(name[1:])
+        if index in bindings:
+            raise ValueError(f"{name} is bound more than once")
+        bindings[index] = value
+    return bindings
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +128,18 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    bindings = [_parse_binding(item) for item in args.at or []]
+    bindings = _parse_bindings(args.at or [])
     if args.bool_text is not None:
         formula = parse_bool(args.bool_text)
         assignment = {}
-        for index, literal in bindings:
+        for index, literal in bindings.items():
             if literal not in ("0", "1"):
                 raise ValueError(f"X{index} must be assigned 0 or 1, got {literal!r}")
             assignment[index] = int(literal)
         value = eval_bool(formula, assignment)
     else:
         formula = parse_luk(args.luk_text)
-        valuation = {
-            index: parse_rational01(literal) for index, literal in bindings
-        }
+        valuation = {i: parse_rational01(text) for i, text in bindings.items()}
         value = eval_luk(formula, valuation)
     _emit({"value": str(value)})
     return EXIT_OK
@@ -220,7 +225,7 @@ def _cmd_harness(args) -> int:
         max_groups=args.max_groups,
         max_group_size=args.max_group_size,
         max_vars=args.max_vars,
-        max_connectives=args.max_formula_size,
+        max_formula_size=args.max_formula_size,
     )
     disagreements = 0
     for record in harness_trials(args.seed, args.trials, limits, budget=args.budget):

@@ -80,13 +80,15 @@ class BudgetExceededError(Exception):
 def _check_budget(budget: int, what: str, base: int, exponent: int, factor: int = 1):
     """Raise ``BudgetExceededError`` if factor * base**exponent > budget.
 
-    With factor and base at least 1, the bit lengths alone give a k with
-    count >= 2**k.  The count is built only while k is below the budget's
-    bit length (it may fit) or below ``_PRINTED_BITS`` (it prints exactly).
-    Past both it exceeds the budget and is reported as "at least 2**k": a
-    declared n of 10**10 would make 2**n a 1.25 GB int, and Python prints no
-    int past 4300 digits.
+    A negative budget is a ``ValueError``.  With factor and base at least 1,
+    the bit lengths alone give a k with count >= 2**k.  The count is built
+    only while k is below the budget's bit length (it may fit) or below
+    ``_PRINTED_BITS`` (it prints exactly).  Past both it exceeds the budget
+    and is reported as "at least 2**k": a declared n of 10**10 would make 2**n
+    a 1.25 GB int, and Python prints no int past 4300 digits.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     bits = factor.bit_length() - 1 + exponent * (base.bit_length() - 1)
     if bits < max(budget.bit_length(), _PRINTED_BITS):
         needed = factor * base**exponent
@@ -333,19 +335,19 @@ def coefficient_bound(theta: LukFormula, phi: LukFormula) -> int:
 
 @dataclass(frozen=True)
 class HarnessLimits:
-    """Size caps for random instances; "size" caps the connective count."""
+    """Size caps for random instances; a formula's size is its connective count."""
 
     max_groups: int = 3
     max_group_size: int = 3
     max_vars: int = 3
-    max_connectives: int = 6
+    max_formula_size: int = 6
 
     def __post_init__(self) -> None:
         for name, least in (
             ("max_groups", 1),
             ("max_group_size", 1),
             ("max_vars", 1),
-            ("max_connectives", 0),
+            ("max_formula_size", 0),
         ):
             value = getattr(self, name)
             if value < least:
@@ -393,7 +395,7 @@ def random_instance(rng: random.Random, limits: HarnessLimits) -> StableInstance
         while len(formulas) < wanted and attempts < 50:
             attempts += 1
             candidate = random_bool_formula(
-                rng, n, rng.randint(0, limits.max_connectives)
+                rng, n, rng.randint(0, limits.max_formula_size)
             )
             if candidate not in formulas:
                 formulas.append(candidate)
@@ -412,11 +414,16 @@ def harness_trials(
 
     Each record carries the full instance, both verdicts and their agreement;
     identical seeds yield identical streams.  A negative ``trials`` is a
-    ``ValueError`` when iteration starts.
+    ``ValueError`` at the call, before the stream is returned.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    rng = random.Random(seed)
+    return _trials(random.Random(seed), trials, limits, budget)
+
+
+def _trials(
+    rng: random.Random, trials: int, limits: HarnessLimits, budget: int
+) -> Iterator[dict]:
     for trial in range(trials):
         instance = random_instance(rng, limits)
         stable = stable_bruteforce(instance, budget).stable

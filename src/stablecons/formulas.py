@@ -27,9 +27,9 @@ table.  Node equality, hashing and pickling use the flat pre-order key of
 the nodes, and renaming variables rebuilds a formula from its key.  ``repr``
 and the printer write their text pieces from an explicit stack and join them
 once, so printing is linear in the length of the text.
-One stack-based precedence parser reads both languages; the boolean one is
-the connective table without ``(+)``, ``(*)``, ``->`` and ``<->``.  It reads
-the tokens of one compiled regular expression.
+One table, ``_BINARY``, holds each binary connective's spelling, binding
+strength and node in each language; the tokenizer, the stack-based parser of
+both languages and the printer derive theirs from it.
 """
 
 from __future__ import annotations
@@ -291,31 +291,37 @@ def measure(formula: Formula) -> FormulaLength:
 
 
 # ---------------------------------------------------------------------------
+# the binary connectives, written once for the tokenizer, parser and printer
+
+# token kind -> (spelling, binding strength, boolean node or None,
+# Łukasiewicz node or constructor), tightest-binding first.  (*), (+) and the
+# lattice pair associate to the left; -> associates to the right; <-> takes a
+# lattice level formula on each side and does not chain.  Negation binds
+# tighter than all of them, and a variable tighter still.
+_LATTICE, _NEGATION = 1, 4
+_BINARY = {
+    "otimes": ("(*)", 3, None, Otimes),
+    "oplus": ("(+)", 2, None, Oplus),
+    "and": ("/\\", _LATTICE, And, Meet),
+    "or": ("\\/", _LATTICE, Or, Join),
+    "implies": ("->", 0, None, implies),
+    "iff": ("<->", 0, None, iff),
+}
+_PRECEDENCE = {kind: level for kind, (_, level, _, _) in _BINARY.items()}
+_BOOL_CONNECTIVES = {kind: node for kind, (_, _, node, _) in _BINARY.items() if node}
+_LUK_CONNECTIVES = {kind: node for kind, (_, _, _, node) in _BINARY.items()}
+_INFIX = {  # node type -> (infix text, binding strength)
+    node: (f" {spelling} ", level)
+    for spelling, level, *nodes in _BINARY.values()
+    for node in nodes
+    if isinstance(node, type)
+}
+_LEVEL = {node: level for node, (_, level) in _INFIX.items()}
+_LEVEL.update({Not: _NEGATION, Neg: _NEGATION})
+
+
+# ---------------------------------------------------------------------------
 # printing (minimal parentheses, inverse of the parser below)
-
-_LEVEL_LATTICE, _LEVEL_OPLUS, _LEVEL_OTIMES, _LEVEL_UNARY, _LEVEL_ATOM = range(5)
-
-_LEVEL = {
-    Var: _LEVEL_ATOM,
-    Not: _LEVEL_UNARY,
-    Neg: _LEVEL_UNARY,
-    Otimes: _LEVEL_OTIMES,
-    Oplus: _LEVEL_OPLUS,
-    And: _LEVEL_LATTICE,
-    Meet: _LEVEL_LATTICE,
-    Or: _LEVEL_LATTICE,
-    Join: _LEVEL_LATTICE,
-}
-
-# infix spelling and the level below which the right operand is wrapped
-_INFIX = {
-    Otimes: (" (*) ", _LEVEL_UNARY),
-    Oplus: (" (+) ", _LEVEL_OTIMES),
-    And: (" /\\ ", _LEVEL_OPLUS),
-    Meet: (" /\\ ", _LEVEL_OPLUS),
-    Or: (" \\/ ", _LEVEL_OPLUS),
-    Join: (" \\/ ", _LEVEL_OPLUS),
-}
 
 
 def _to_text(formula: Formula) -> str:
@@ -329,8 +335,8 @@ def _to_text(formula: Formula) -> str:
     stack: list[object] = [formula]
 
     def push(child: Formula, floor: int) -> None:
-        # pushed in reverse, so "(" comes off the stack first
-        if _LEVEL.get(type(child), _LEVEL_ATOM) < floor:
+        # pushed in reverse, so "(" comes off the stack first; never a variable
+        if _LEVEL.get(type(child), floor) < floor:
             stack.extend((")", child, "("))
         else:
             stack.append(child)
@@ -343,19 +349,17 @@ def _to_text(formula: Formula) -> str:
         elif kind is Var:
             parts.append(f"X{item.index}")
         elif kind in _INFIX:
-            symbol, right_floor = _INFIX[kind]
-            level = _LEVEL[kind]
-            left_floor = level
-            if level == _LEVEL_LATTICE and type(item.left) is not kind:
+            symbol, level = _INFIX[kind]
+            push(item.right, level + 1)
+            stack.append(symbol)
+            if level == _LATTICE and type(item.left) is not kind:
                 # a same-operator left chain may continue unparenthesized, the
                 # other lattice operator may not (mixing needs parentheses)
-                left_floor = _LEVEL_OPLUS
-            push(item.right, right_floor)
-            stack.append(symbol)
-            push(item.left, left_floor)
+                level += 1
+            push(item.left, level)
         elif kind is Not or kind is Neg:
             parts.append("~")
-            push(item.child, _LEVEL_UNARY)
+            push(item.child, _NEGATION)
         else:
             raise TypeError(f"unexpected node {kind.__name__}")
     return "".join(parts)
@@ -387,16 +391,13 @@ class FormulaSyntaxError(ValueError):
 # first so "(+)" is not read as "(".  Variable digits are ASCII only.  When no
 # token follows the whitespace, the match is empty and ``lastgroup`` is None.
 _TOKEN = re.compile(
-    r"""[ \t\r\n]*
-    (?:
-        (?P<var>X(?P<index>[1-9][0-9]*)?)
-      | (?P<oplus>\(\+\)) | (?P<otimes>\(\*\)) | (?P<iff><->) | (?P<implies>->)
-      | (?P<and>/\\) | (?P<or>\\/) | (?P<not>~) | (?P<lparen>\() | (?P<rparen>\))
-    )?""",
-    re.VERBOSE,
+    r"[ \t\r\n]*(?:(?P<var>X(?P<index>[1-9][0-9]*)?)|"
+    + "".join(
+        f"(?P<{kind}>{re.escape(_BINARY[kind][0])})|"
+        for kind in sorted(_BINARY, key=lambda kind: -len(_BINARY[kind][0]))
+    )
+    + r"(?P<not>~)|(?P<lparen>\()|(?P<rparen>\)))?"
 )
-
-_LUK_ONLY = {"oplus": "(+)", "otimes": "(*)", "implies": "->", "iff": "<->"}
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
@@ -421,23 +422,6 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
         raise FormulaSyntaxError(f"unexpected character {text[position]!r}", position)
     tokens.append(("end", len(text), 0))
     return tokens
-
-
-# Binding strength of the binary connectives.  (*), (+) and the lattice pair
-# associate to the left; -> associates to the right; <-> takes a lattice
-# level formula on each side and does not chain.
-_PRECEDENCE = {"otimes": 3, "oplus": 2, "and": 1, "or": 1, "implies": 0, "iff": 0}
-_LATTICE = 1
-
-_BOOL_CONNECTIVES = {"and": And, "or": Or}
-_LUK_CONNECTIVES = {
-    "otimes": Otimes,
-    "oplus": Oplus,
-    "and": Meet,
-    "or": Join,
-    "implies": implies,
-    "iff": iff,
-}
 
 
 def _parse(
@@ -482,7 +466,7 @@ def _parse(
                 level = _PRECEDENCE[kind]
                 apply(level + 1)
                 top = pending[-1] if pending else None
-                if level == _LATTICE and top in ("and", "or") and top != kind:
+                if level == _LATTICE == _PRECEDENCE.get(top) and top != kind:
                     raise FormulaSyntaxError(
                         "mixing '/\\' and '\\/' needs parentheses", offset
                     )
@@ -497,9 +481,9 @@ def _parse(
             if not pending:
                 if kind == "end":
                     return operands[0]
-                if kind in _LUK_ONLY and kind not in connectives:
+                if kind in _BINARY and kind not in connectives:
                     raise FormulaSyntaxError(
-                        f"'{_LUK_ONLY[kind]}' is not a boolean connective", offset
+                        f"'{_BINARY[kind][0]}' is not a boolean connective", offset
                     )
                 raise FormulaSyntaxError("unexpected trailing input", offset)
             if kind != "rparen":

@@ -110,6 +110,20 @@ class TestEvalCommand:
             "message": "X1 must be assigned 0 or 1, got '2'",
         }
 
+    @pytest.mark.parametrize(
+        "language, first, second",
+        [("--luk", "1/3", "2/3"), ("--bool", "1", "1")],
+    )
+    def test_a_variable_bound_twice_is_a_value_error(
+        self, capsys, language, first, second
+    ):
+        # not the last binding silently winning
+        argv = ["eval", language, "X2 \\/ X3", "--at", f"X3={first}"]
+        code, doc = invoke_json(capsys, *argv, "--at", f"X3={second}")
+        assert code == 2
+        message = "X3 is bound more than once"
+        assert doc == {"error": {"kind": "value", "message": message}}
+
     def test_out_of_range_value(self, capsys):
         code, doc = invoke_json(capsys, "eval", "--luk", "X1", "--at", "X1=4/3")
         assert code == 2
@@ -496,7 +510,7 @@ class TestHarnessCommand:
             ("--max-vars", "0", "max_vars must be >= 1, got 0"),
             ("--max-groups", "0", "max_groups must be >= 1, got 0"),
             ("--max-group-size", "0", "max_group_size must be >= 1, got 0"),
-            ("--max-formula-size", "-1", "max_connectives must be >= 0, got -1"),
+            ("--max-formula-size", "-1", "max_formula_size must be >= 0, got -1"),
         ],
     )
     def test_a_limit_out_of_range_is_a_value_error(self, capsys, flag, value, message):
@@ -516,6 +530,36 @@ class TestHarnessCommand:
         _, first, _ = invoke(capsys, "harness", "--seed", "1", "--trials", "8")
         _, second, _ = invoke(capsys, "harness", "--seed", "2", "--trials", "8")
         assert first != second
+
+
+# every command that takes --budget; a dict stands for an instance file
+BUDGETED_COMMANDS = [
+    pytest.param(["check-stable", CONTRADICTION], id="check-stable"),
+    pytest.param(["check-consequence", CONTRADICTION], id="check-consequence-file"),
+    pytest.param(
+        ["check-consequence", "--theta", "X1", "--phi", "X1"],
+        id="check-consequence-pair",
+    ),
+    pytest.param(["estar", "--nabla", "X1", "--omega", "X1"], id="estar"),
+    pytest.param(["harness", "--trials", "1"], id="harness"),
+]
+
+
+@pytest.mark.parametrize("command", BUDGETED_COMMANDS)
+class TestBudgetFlag:
+    def test_a_negative_budget_is_a_value_error(self, capsys, instance_file, command):
+        argv = [instance_file(a) if isinstance(a, dict) else a for a in command]
+        code, doc = invoke_json(capsys, *argv, "--budget", "-5")
+        assert code == 2
+        message = "budget must be >= 0, got -5"
+        assert doc == {"error": {"kind": "value", "message": message}}
+
+    def test_a_budget_of_zero_is_exceeded(self, capsys, instance_file, command):
+        argv = [instance_file(a) if isinstance(a, dict) else a for a in command]
+        code, doc = invoke_json(capsys, *argv, "--budget", "0")
+        assert code == 3
+        assert doc["error"]["kind"] == "budget_exceeded"
+        assert doc["error"]["budget"] == 0
 
 
 class TestDeterminism:

@@ -635,13 +635,17 @@ class TestHarness:
         with pytest.raises(ValueError, match="^trials must be >= 0, got -1$"):
             list(harness_trials(seed=1, trials=-1))
 
+    def test_negative_trials_fail_at_the_call(self):
+        with pytest.raises(ValueError, match="^trials must be >= 0, got -1$"):
+            harness_trials(seed=1, trials=-1)
+
     @pytest.mark.parametrize(
         "field, least",
         [
             ("max_groups", 1),
             ("max_group_size", 1),
             ("max_vars", 1),
-            ("max_connectives", 0),
+            ("max_formula_size", 0),
         ],
     )
     def test_limits_below_their_least_value_are_value_errors(self, field, least):
@@ -652,11 +656,42 @@ class TestHarness:
 
     def test_the_least_limits_draw_instances(self):
         limits = HarnessLimits(
-            max_groups=1, max_group_size=1, max_vars=1, max_connectives=0
+            max_groups=1, max_group_size=1, max_vars=1, max_formula_size=0
         )
         records = list(harness_trials(seed=2, trials=10, limits=limits))
         assert all(record["agree"] for record in records)
         assert {record["instance"]["n"] for record in records} == {1}
+
+
+# every enumeration, run on a one-variable input with the given budget
+BUDGETED = {
+    "stable_bruteforce": lambda budget: stable_bruteforce(
+        instance_of(1, (("X1",), 0)), budget
+    ),
+    "check_consequence_rho": lambda budget: check_consequence_rho(
+        reduce_instance(instance_of(1, (("X1",), 0))), budget
+    ),
+    "find_countermodel": lambda budget: find_countermodel(
+        parse_luk("X1"), parse_luk("X1"), 2, budget
+    ),
+    "estar": lambda budget: estar([], [parse_bool("X1")], parse_bool("X1"), budget),
+    "harness_trials": lambda budget: list(harness_trials(1, 1, budget=budget)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETED))
+class TestBudgetBounds:
+    def test_a_negative_budget_is_a_value_error(self, name):
+        # not reported as an exceeded budget
+        for budget in (-1, -(2**70)):
+            message = f"^budget must be >= 0, got {budget}$"
+            with pytest.raises(ValueError, match=message):
+                BUDGETED[name](budget)
+
+    def test_a_budget_of_zero_is_exceeded(self, name):
+        with pytest.raises(BudgetExceededError) as raised:
+            BUDGETED[name](0)
+        assert raised.value.budget == 0
 
 
 class TestEstar:

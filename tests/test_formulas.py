@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 from fractions import Fraction
 
@@ -107,6 +108,8 @@ SYNTAX_ERRORS = [
     pytest.param("bool", "(X1 (+) X2)", "expected ')'", 4, id="oplus-in-bool-parens"),
     pytest.param("bool", "~(X1 -> X2)", "expected ')'", 5, id="implies-in-bool-parens"),
     pytest.param("bool", "X1 (*) X2", "'(*)' is not a boolean connective", 3, id="otimes-in-bool"),
+    pytest.param("bool", "X1 (+) X2", "'(+)' is not a boolean connective", 3, id="oplus-in-bool"),
+    pytest.param("bool", "~X1 -> X2", "'->' is not a boolean connective", 4, id="implies-in-bool"),
     pytest.param("bool", "X1 /\\ X2 <-> X3", "'<->' is not a boolean connective", 9, id="iff-in-bool"),
     pytest.param("bool", "(((X1", "expected ')'", 5, id="unclosed-depth-3-bool"),
     pytest.param("luk", "(((X1 (*) X2", "expected ')'", 12, id="unclosed-depth-3-luk"),
@@ -313,6 +316,36 @@ class TestLinearPrinter:
         opened = " (*) (".join(f"X{i}" for i in range(19_999, 1, -1))
         assert text == opened + " (*) X1" + ")" * 19_997
         assert parse_luk(text) == right
+
+    @pytest.mark.parametrize(
+        "nodes, parse, to_text",
+        [
+            ((And, Or), parse_bool, bool_to_text),
+            ((Oplus, Otimes, Meet, Join), parse_luk, luk_to_text),
+        ],
+        ids=["bool", "luk"],
+    )
+    def test_every_nesting_of_two_binary_nodes(self, nodes, parse, to_text):
+        # A(B(X1, X2), X3) and A(X1, B(X2, X3)) for every ordered pair: the
+        # text is the unparenthesized one exactly when that parses back to
+        # the formula, and it matches the reference printer
+        spelling = {
+            And: "/\\", Meet: "/\\", Or: "\\/", Join: "\\/", Oplus: "(+)", Otimes: "(*)"
+        }
+        x1, x2, x3 = Var(1), Var(2), Var(3)
+        for outer, inner in itertools.product(nodes, repeat=2):
+            a, b = spelling[outer], spelling[inner]
+            for formula, bare, wrapped in [
+                (outer(inner(x1, x2), x3), f"X1 {b} X2 {a} X3", f"(X1 {b} X2) {a} X3"),
+                (outer(x1, inner(x2, x3)), f"X1 {a} X2 {b} X3", f"X1 {a} (X2 {b} X3)"),
+            ]:
+                try:
+                    minimal = bare if parse(bare) == formula else wrapped
+                except FormulaSyntaxError:  # mixed lattice operators
+                    minimal = wrapped
+                assert to_text(formula) == minimal
+                assert parse(minimal) == formula
+                assert minimal == fold(formula, FOLD_PRINTER)[0]
 
     def test_unknown_node_is_a_type_error(self):
         class Box:
