@@ -11,7 +11,7 @@ from stablecons import estar, parse_bool
 
 
 def show(title, delta, nabla, omega):
-    result = estar(
+    e_star = estar(
         [parse_bool(t) for t in delta],
         [parse_bool(t) for t in nabla],
         parse_bool(omega),
@@ -20,14 +20,13 @@ def show(title, delta, nabla, omega):
     print(f"  trusted:  {delta or '(none)'}")
     print(f"  dubious:  {nabla}")
     print(f"  conclusion: {omega}")
-    if result.e_star is None:
+    if e_star is None:
         print("  -> the conclusion does not follow even with nothing removed")
     else:
-        fraction = result.e_star / len(set(nabla))
+        fraction = e_star / len(set(nabla))
         print(
-            f"  -> e* = {result.e_star} of {len(set(nabla))} dubious formulas"
-            f" are expendable (ratio {fraction:.2f},"
-            f" {result.checks_performed} checks)"
+            f"  -> e* = {e_star} of {len(set(nabla))} dubious formulas"
+            f" are expendable (ratio {fraction:.2f})"
         )
     print()
 

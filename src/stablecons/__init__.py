@@ -14,7 +14,6 @@ from .decision import (
     INCONCLUSIVE,
     BudgetExceededError,
     ConsequenceVerdict,
-    EStarResult,
     HarnessLimits,
     StableVerdict,
     check_consequence_rho,

@@ -213,11 +213,9 @@ def _cmd_estar(args) -> int:
     delta = [parse_bool(text) for text in args.delta or []]
     nabla = [parse_bool(text) for text in args.nabla]
     omega = parse_bool(args.omega)
-    result = estar(delta, nabla, omega, budget=args.budget)
-    doc = result.to_json()
-    doc["nabla_size"] = len(set(nabla))
-    _emit(doc)
-    return EXIT_OK if result.e_star is not None else EXIT_NEGATIVE
+    e_star = estar(delta, nabla, omega, budget=args.budget)
+    _emit({"e_star": e_star, "nabla_size": len(set(nabla))})
+    return EXIT_OK if e_star is not None else EXIT_NEGATIVE
 
 
 def _cmd_harness(args) -> int:
@@ -332,6 +330,8 @@ def _parser() -> _ArgumentParser:
 def run(argv: list[str]) -> int:
     try:
         args = _parser().parse_args(argv)
+        if getattr(args, "budget", 0) < 0:  # before any command reads its input
+            raise ValueError(f"budget must be >= 0, got {args.budget}")
         return args.handler(args)
     except _UsageError as exc:
         _emit_error("usage", str(exc))

@@ -8,11 +8,11 @@
   pairs: sound whenever it answers, inconclusive past its bound.
 * ``harness_trials`` — randomized agreement check between the boolean oracle
   and the reduced-pair check.
-* ``estar`` — binary search for the largest deletion allowance that keeps a
-  conclusion entailed.
+* ``estar`` — the largest deletion allowance that keeps a conclusion
+  entailed, from one least-value scan of the grid.
 
-Both consequence checks run on the exact lattice scan of ``semantics``,
-``_scan``; its first hit is decoded into a ``Fraction`` witness and
+The consequence checks and ``estar`` run on the exact lattice scan of
+``semantics``, ``_scan``; its hit is decoded into a ``Fraction`` point and
 re-verified with the scalar ``eval_luk`` before it is reported.
 
 All enumerations honor a hard budget and raise ``BudgetExceededError`` rather
@@ -23,6 +23,7 @@ reported as "at least 2**k", neither built nor printed (``_check_budget``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -34,8 +35,10 @@ from .formulas import (
     And,
     BoolFormula,
     LukFormula,
+    Neg,
     Not,
     Or,
+    Otimes,
     Var,
     connective_count,
     variables,
@@ -44,6 +47,7 @@ from .reduction import (
     FormulaGroup,
     ReductionOutput,
     StableInstance,
+    ddagger,
     instance_to_json,
     reduce_instance,
 )
@@ -172,22 +176,6 @@ class StableVerdict:
         return doc
 
 
-@dataclass(frozen=True)
-class EStarResult:
-    """Largest deletion allowance that keeps the conclusion entailed.
-
-    ``e_star`` is None when the conclusion does not even follow with zero
-    deletions.  ``checks_performed`` counts stability checks (logarithmic in
-    the size of the dubious set).
-    """
-
-    e_star: int | None
-    checks_performed: int
-
-    def to_json(self) -> dict:
-        return {"e_star": self.e_star, "checks_performed": self.checks_performed}
-
-
 # ---------------------------------------------------------------------------
 # boolean brute force
 
@@ -249,10 +237,10 @@ def check_consequence_rho(
     _check_budget(budget, "grid enumeration", 2, n)
     var_order = range(1, n + 1)
     L = output.e + 1
-    row = _scan(None, output.phi, var_order, (1, output.e), L)
-    if row is None:
+    hit = _scan(None, output.phi, var_order, (1, output.e), L)
+    if hit is None:
         return ConsequenceVerdict.consequence(certified=True)
-    return _countermodel(output.theta, output.phi, var_order, row, L)
+    return _countermodel(output.theta, output.phi, var_order, *hit, L)
 
 
 def denominator_bounded_fractions(max_denominator: int) -> list[Fraction]:
@@ -299,10 +287,10 @@ def find_countermodel(
     fractions = denominator_bounded_fractions(max_denominator)
     _check_budget(budget, "countermodel scan", len(fractions), len(var_order))
     axis = [f.numerator * (L // f.denominator) for f in fractions]
-    row = _scan(theta, phi, var_order, axis, L)
-    if row is None:
+    hit = _scan(theta, phi, var_order, axis, L)
+    if hit is None:
         return ConsequenceVerdict.inconclusive(max_denominator)
-    return _countermodel(theta, phi, var_order, row, L)
+    return _countermodel(theta, phi, var_order, *hit, L)
 
 
 def _countermodel(
@@ -310,11 +298,18 @@ def _countermodel(
     phi: LukFormula,
     var_order: Sequence[int],
     row: Sequence[int],
+    found: int,
     L: int,
 ) -> ConsequenceVerdict:
-    """Decode a scan hit into a witness and re-verify it with ``eval_luk``."""
+    """Decode a scan hit into a witness and re-verify it with ``eval_luk``:
+    theta = 1 there, and phi equals found/L, the scan's value, below 1."""
     witness = {index: Fraction(value, L) for index, value in zip(var_order, row)}
-    if eval_luk(theta, witness) != ONE or eval_luk(phi, witness) >= ONE:
+    claimed = Fraction(found, L)
+    if (
+        claimed >= ONE
+        or eval_luk(theta, witness) != ONE
+        or eval_luk(phi, witness) != claimed
+    ):
         raise RuntimeError("lattice and scalar evaluators disagree on a countermodel")
     return ConsequenceVerdict.countermodel(witness)
 
@@ -447,41 +442,34 @@ def estar(
     nabla: Sequence[BoolFormula],
     omega: BoolFormula,
     budget: int = DEFAULT_BUDGET,
-) -> EStarResult:
+) -> int | None:
     """Largest e such that the conclusion survives deleting e dubious formulas.
 
-    For each candidate e the instance (delta + {~omega} with no deletions;
-    nabla with e deletions) is reduced and decided on the grid.  Stability is
-    downward monotone in e, so binary search over 0..card(nabla)-1 applies;
-    None is returned when even e = 0 fails (the conclusion never followed).
+    That is the largest e below card(nabla) for which the instance
+    (delta + {~omega} with no deletions; nabla with e deletions) is stable,
+    or None when even e = 0 fails (the conclusion never followed).  It is
+    read off one scan of the grid with L = max(2, card(nabla)) + 1, so that
+    no block of card(nabla) translated formulas falls to 0.  At a grid point
+    the block of the core (delta + {~omega}) is 1 exactly where every core
+    formula holds, and the negated block of nabla is k/L, with k the number
+    of dubious formulas falsified there.  A core model that falsifies k
+    dubious formulas satisfies what survives once they are deleted, so the
+    instance is stable exactly for the e below every such k: e* is the least
+    k over the core models minus 1, or card(nabla) - 1 when the core has no
+    model.  The point of the least k is re-verified with ``eval_luk``.
     """
     nabla_set = tuple(dict.fromkeys(nabla))
     if not nabla_set:
         raise ValueError("the dubious formula set must be nonempty")
     core = tuple(dict.fromkeys([*delta, Not(omega)]))
-    n = max(
-        index
-        for formula in core + nabla_set
-        for index in variables(formula)
-    )
-    checks = 0
-
-    def stable_at(e: int) -> bool:
-        nonlocal checks
-        checks += 1
-        instance = StableInstance(
-            n, (FormulaGroup(core, 0), FormulaGroup(nabla_set, e))
-        )
-        verdict = check_consequence_rho(reduce_instance(instance), budget)
-        return verdict.kind == CONSEQUENCE
-
-    if not stable_at(0):
-        return EStarResult(None, checks)
-    low, high = 0, len(nabla_set) - 1
-    while low < high:
-        mid = (low + high + 1) // 2
-        if stable_at(mid):
-            low = mid
-        else:
-            high = mid - 1
-    return EStarResult(low, checks)
+    var_order = sorted({index for f in core + nabla_set for index in variables(f)})
+    _check_budget(budget, "grid enumeration", 2, len(var_order))
+    L = max(2, len(nabla_set)) + 1
+    theta = functools.reduce(Otimes, map(ddagger, core))
+    phi = Neg(functools.reduce(Otimes, map(ddagger, nabla_set)))
+    hit = _scan(theta, phi, var_order, (1, L - 1), L, least=True)
+    if hit is None:
+        return len(nabla_set) - 1
+    row, falsified = hit
+    _countermodel(theta, phi, var_order, row, falsified, L)
+    return falsified - 1 if falsified else None

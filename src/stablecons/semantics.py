@@ -13,10 +13,11 @@ ints (which have no size cap) over the formula tree and returns the result
 as a ``Fraction`` over D.
 
 The lattice engine is the one exact search behind both consequence checks
-of ``decision``.  Its points have coordinates k/L for a fixed L (e+1 on the
-grid, the lcm of 1..max_denominator in pair mode), and ``_scan`` finds the
-first point, in lexicographic order, where the consequent is below 1 (and
-the antecedent, if given, is 1).  Its connectives are written so that
+of ``decision`` and its e*.  Its points have coordinates k/L for a fixed L
+(e+1 on the grid, the lcm of 1..max_denominator in pair mode), and ``_scan``
+finds the first point, in lexicographic order, where the consequent is
+below 1 (and the antecedent, if given, is 1), or for e* the first where the
+consequent takes its least such value.  Its connectives are written so that
 every intermediate value stays in [0, L], so fixed-width integer arithmetic
 is exact in the narrowest signed dtype that holds L (int8 up to L = 127,
 int16, int32, then int64 up to L = 2**63 - 1).  The scan builds its axis in
@@ -290,7 +291,8 @@ def _scan(
     var_order: Sequence[int],
     axis: Sequence[int],
     L: int,
-) -> tuple[int, ...] | None:
+    least: bool = False,
+) -> tuple[tuple[int, ...], int] | None:
     """First point of axis^m where phi < L (and theta = L, if theta is given).
 
     Every coordinate of a point is an entry of ``axis``, a numerator over L,
@@ -321,7 +323,9 @@ def _scan(
     further blocks as they run short.  Both tests are sound, since no point
     of a dropped row is a countermodel, so the first hit is still the first
     countermodel in scan order.  The grid check has no antecedent and scans
-    every row.  Returns the first hit's numerators, or None.
+    every row.  With ``least``, the hit is instead the first point holding
+    the least phi below L (theta = L there), and the scan stops early at
+    phi = 0.  Returns the hit's numerators and phi's numerator there, or None.
     """
     values = np.array(axis, dtype=_lattice_dtype(L))
     top = values.dtype.type(L)
@@ -336,6 +340,7 @@ def _scan(
     size = _FIRST_CHUNK
     pending = np.empty((0, m - k), dtype=values.dtype)
     taken = 0  # rows decoded so far
+    best = None
     while True:
         wanted = max(1, size // base**k)
         while len(pending) < wanted and taken < rows:
@@ -348,13 +353,15 @@ def _scan(
             taken += count
             pending = np.concatenate((pending, fresh))
         if not len(pending):
-            return None
+            return best
+        batch, pending = pending[:wanted], pending[wanted:]
         hit = _scan_rows(
-            theta_program, phi_program, var_order, values, top, table, pending[:wanted]
+            theta_program, phi_program, var_order, values, top, table, batch, least
         )
-        if hit is not None:
-            return hit
-        pending = pending[wanted:]
+        if hit is not None and (best is None or hit[1] < best[1]):
+            best = hit
+            if not least or not hit[1]:
+                return hit
         size = min(4 * size, _SCAN_CHUNK)
 
 
@@ -418,7 +425,8 @@ def _scan_rows(
     top: np.integer,
     table: dict,
     rows: np.ndarray,
-) -> tuple[int, ...] | None:
+    least: bool,
+) -> tuple[tuple[int, ...], int] | None:
     """First hit among the points of some rows, as one broadcast slab.
 
     ``rows`` holds the leading coordinates, one row per line in scan order;
@@ -429,7 +437,9 @@ def _scan_rows(
     that binding with ``table``, the lattice connectives over ``top`` (L);
     ``top`` and ``rows`` are in the dtype of ``values``, already checked.
     With theta given, theta is evaluated on the slab and phi only on the
-    points where theta = L, gathered in C order by ``np.nonzero``.
+    points where theta = L, gathered in C order by ``np.nonzero``.  The hit,
+    with phi's numerator, is the first point where phi < L or, with
+    ``least``, the first holding phi's least value, if below L.
 
     Both forks pay (3 of 3 timed rounds each): one row bound as arrays, not
     scalars, made ``check_consequence_rho`` on ``grid-early`` about 10%
@@ -455,11 +465,11 @@ def _scan_rows(
         lead = [column[models[0]] for column in rows.T] if len(rows) > 1 else []
         axes = lead + [values[position] for position in models[-k:]]
         shape = models[0].shape
-    value = _run(phi, dict(zip(var_order, fixed + axes)), table)
-    misses = np.broadcast_to(value < top, shape)
-    first = int(misses.argmax())
-    if not misses.flat[first]:
+    value = np.broadcast_to(_run(phi, dict(zip(var_order, fixed + axes)), table), shape)
+    first = int((value if least else value == top).argmin())
+    found = value.flat[first]
+    if found == top:
         return None
     index = np.unravel_index(first, shape)
     hit = fixed + [np.broadcast_to(a, shape)[index] for a in axes]
-    return tuple(int(value) for value in hit)
+    return tuple(int(coordinate) for coordinate in hit), int(found)

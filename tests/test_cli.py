@@ -462,14 +462,14 @@ class TestEstarCommand:
             capsys, "estar", "--omega", far, "--nabla", far, "--nabla", f"X1 /\\ {far}"
         )
         assert code == 0
-        assert doc == {"e_star": 1, "checks_performed": 2, "nabla_size": 2}
+        assert doc == {"e_star": 1, "nabla_size": 2}
 
     def test_no_entailment_exits_one(self, capsys):
         code, doc = invoke_json(
             capsys, "estar", "--omega", "X1", "--nabla", "X2"
         )
         assert code == 1
-        assert doc["e_star"] is None
+        assert doc == {"e_star": None, "nabla_size": 1}
 
 
 class TestHarnessCommand:
@@ -562,6 +562,49 @@ class TestBudgetFlag:
         assert doc["error"]["budget"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["harness", "--trials", "0"],
+        ["check-consequence", "--theta", "X1", "--phi", "X1", "--max-denominator", "50"],
+    ],
+    ids=["harness-without-trials", "pair-past-int64"],
+)
+def test_a_negative_budget_is_rejected_before_the_command_runs(capsys, argv):
+    # with no trial to run, or a bound whose denominator is rejected first,
+    # the command itself would never read the budget
+    code, doc = invoke_json(capsys, *argv, "--budget", "-1")
+    assert code == 2
+    message = "budget must be >= 0, got -1"
+    assert doc == {"error": {"kind": "value", "message": message}}
+
+
+def run_script(name, *args):
+    """Run one of ``scripts/`` on the package under test and return its
+    stdout as bytes; a nonzero exit fails the test and shows its stderr."""
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    src = str(Path(stablecons.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, str(scripts / name), *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["robustness_demo.py"], b"  -> e* = 2 of 3 dubious formulas"),
+        (["measure_size_ratio.py", "--count", "5"], b'"count": 5'),
+    ],
+)
+def test_the_example_scripts_run(argv, line):
+    assert line in run_script(*argv)
+
+
 class TestDeterminism:
     def test_reduce_output_is_reproducible(self, capsys, instance_file):
         path = instance_file(LOOSENED)
@@ -606,15 +649,6 @@ class TestDeterminism:
     def test_the_digest_script_reproduces_its_pinned_output(self):
         # scripts/cli_digest.py pins stdout and exit code of fixed CLI calls;
         # comparing lines of bytes shows the first line that moved
-        scripts = Path(__file__).resolve().parents[1] / "scripts"
-        src = str(Path(stablecons.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, str(scripts / "cli_digest.py")],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            timeout=600,
-        )
-        assert done.returncode == 0, done.stderr.decode()
-        pinned = (scripts / "cli_digest.txt").read_bytes()
-        lines = done.stdout.splitlines(keepends=True)
-        assert lines == pinned.splitlines(keepends=True)
+        lines = run_script("cli_digest.py").splitlines(keepends=True)
+        pinned = Path(__file__).resolve().parents[1] / "scripts" / "cli_digest.txt"
+        assert lines == pinned.read_bytes().splitlines(keepends=True)

@@ -38,13 +38,19 @@ from stablecons import (
     measure,
     parse_bool,
     parse_luk,
+    random_bool_formula,
     random_instance,
     reduce_instance,
     stable_bruteforce,
     variables,
 )
 from stablecons.semantics import compile_luk
-from formula_strategies import lift_point, luk_formulas, random_luk_formula
+from formula_strategies import (
+    bool_formulas,
+    lift_point,
+    luk_formulas,
+    random_luk_formula,
+)
 
 
 def unsatisfiable(formulas, n):
@@ -439,10 +445,12 @@ class TestFindCountermodel:
 class TestWitnessReverification:
     """A scan hit that is not a countermodel is an error, never a verdict."""
 
-    # numerators over L = e + 1 = 3: a grid point where phi = 1 (the instance
-    # is stable), and (2/3, 0), off the grid, where phi < 1 but theta = 0
+    # numerators over L = e + 1 = 3: a grid point where phi = 1, not 2/3 (the
+    # instance is stable), and (2/3, 0), off the grid, where phi is 2/3 but
+    # theta = 0
     @pytest.mark.parametrize(
-        "n, formulas, hit", [(1, ("X1", "~X1"), (1,)), (2, ("X1 /\\ X2",), (2, 0))]
+        "n, formulas, hit",
+        [(1, ("X1", "~X1"), ((1,), 2)), (2, ("X1 /\\ X2",), ((2, 0), 2))],
     )
     def test_grid_check(self, monkeypatch, n, formulas, hit):
         output = reduce_instance(instance_of(n, (formulas, 0)))
@@ -450,13 +458,33 @@ class TestWitnessReverification:
         with pytest.raises(RuntimeError, match="evaluators disagree"):
             check_consequence_rho(output)
 
-    # numerators over L = lcm(1, 2, 3) = 6: X1 = 1 makes theta and phi 1;
-    # X1 = 0 makes phi < 1 but theta 0
-    @pytest.mark.parametrize("phi, hit", [("X1", (6,)), ("X1 (*) X1", (0,))])
+    # numerators over L = lcm(1, 2, 3) = 6: X1 = 1 makes theta and phi 1, not
+    # 5/6; X1 = 0 makes phi 0 but theta 0
+    @pytest.mark.parametrize("phi, hit", [("X1", ((6,), 5)), ("X1 (*) X1", ((0,), 0))])
     def test_pair_scan(self, monkeypatch, phi, hit):
         monkeypatch.setattr(stablecons.decision, "_scan", lambda *args: hit)
         with pytest.raises(RuntimeError, match="evaluators disagree"):
             find_countermodel(parse_luk("X1"), parse_luk(phi), 3)
+
+    # each route's real hit, reported with phi's value 1/L too low: the
+    # witness is a countermodel, but phi does not take that value there
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: check_consequence_rho(reduce_instance(instance_of(1, (("X1",), 0)))),
+            lambda: find_countermodel(parse_luk("X1 (+) X1"), parse_luk("X1"), 2),
+            lambda: estar([], [parse_bool("X2")], parse_bool("X1")),
+        ],
+        ids=["grid check", "pair scan", "estar"],
+    )
+    def test_a_wrong_value_is_an_error(self, monkeypatch, check):
+        def shifted(*args, scan=stablecons.decision._scan, **kwargs):
+            row, value = scan(*args, **kwargs)
+            return row, value - 1
+
+        monkeypatch.setattr(stablecons.decision, "_scan", shifted)
+        with pytest.raises(RuntimeError, match="evaluators disagree"):
+            check()
 
 
 def scan_schedule(first, largest, whole):
@@ -694,19 +722,32 @@ class TestBudgetBounds:
         assert raised.value.budget == 0
 
 
+def linear_estar(delta, nabla, omega):
+    """Test-local reference for e*: the brute-force oracle on the instance of
+    each deletion count e = 0, 1, ... in turn, up to the first unstable one."""
+    core = tuple(dict.fromkeys([*delta, Not(omega)]))
+    nabla = tuple(dict.fromkeys(nabla))
+    n = max(max(variables(formula)) for formula in core + nabla)
+    found = None
+    for e in range(len(nabla)):
+        instance = StableInstance(n, (FormulaGroup(core, 0), FormulaGroup(nabla, e)))
+        if not stable_bruteforce(instance).stable:
+            break
+        found = e
+    return found
+
+
 class TestEstar:
     def test_fully_redundant_dubious_set(self):
         nabla = [parse_bool("X1"), parse_bool("X1 \\/ X1"), parse_bool("X1 /\\ X1")]
-        result = estar([], nabla, parse_bool("X1"))
-        assert result.e_star == 2
+        assert estar([], nabla, parse_bool("X1")) == 2
 
     def test_both_members_needed(self):
-        result = estar([], [parse_bool("X1"), parse_bool("X2")], parse_bool("X1 /\\ X2"))
-        assert result.e_star == 0
+        nabla = [parse_bool("X1"), parse_bool("X2")]
+        assert estar([], nabla, parse_bool("X1 /\\ X2")) == 0
 
     def test_no_entailment(self):
-        result = estar([], [parse_bool("X2")], parse_bool("X1"))
-        assert result.e_star is None
+        assert estar([], [parse_bool("X2")], parse_bool("X1")) is None
 
     def test_empty_dubious_set_rejected(self):
         with pytest.raises(ValueError):
@@ -717,46 +758,46 @@ class TestEstar:
         # deleting either redundant copy of X2
         delta = [parse_bool("X1")]
         nabla = [parse_bool("X2"), parse_bool("X2 /\\ X2")]
-        result = estar(delta, nabla, parse_bool("X1 /\\ X2"))
-        assert result.e_star == 1
+        assert estar(delta, nabla, parse_bool("X1 /\\ X2")) == 1
 
-    def test_logarithmic_check_count(self):
+    def test_a_core_without_models_keeps_every_deletion_count(self):
+        # delta contradicts itself, so every e below card(nabla) is stable
+        delta = [parse_bool("X1"), parse_bool("~X1")]
+        nabla = [parse_bool("X2"), parse_bool("~X2"), parse_bool("X3")]
+        assert estar(delta, nabla, parse_bool("X2")) == 2
+
+    def test_one_scan_decides_every_deletion_count(self, monkeypatch):
+        calls = []
+
+        def counting(*args, scan=stablecons.decision._scan, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(stablecons.decision, "_scan", counting)
         nabla = [parse_bool("X1")] + [
             parse_bool("X1" + " \\/ X1" * k) for k in range(1, 5)
         ]
-        result = estar([], nabla, parse_bool("X1"))
-        assert result.e_star == 4
-        assert result.checks_performed <= 2 + math.ceil(math.log2(len(nabla)))
+        assert estar([], nabla, parse_bool("X1")) == 4
+        assert len(calls) == 1
 
-    def test_matches_linear_scan_on_random_inputs(self):
+    def test_matches_the_linear_scan_on_random_inputs(self):
         rng = random.Random(9090)
-        from stablecons import random_bool_formula
+        values = set()
+        for _ in range(1000):
+            n = rng.randint(1, 4)
+            omega = random_bool_formula(rng, n, 4)
+            delta = [random_bool_formula(rng, n, 4) for _ in range(rng.randint(0, 2))]
+            nabla = [random_bool_formula(rng, n, 4) for _ in range(rng.randint(1, 6))]
+            expected = linear_estar(delta, nabla, omega)
+            assert estar(delta, nabla, omega) == expected
+            values.add(expected)
+        assert values == {None, 0, 1, 2, 3, 4, 5}
 
-        for _ in range(20):
-            n = rng.randint(1, 2)
-            omega = random_bool_formula(rng, n, 3)
-            delta = []
-            nabla = []
-            while len(nabla) < rng.randint(1, 4):
-                candidate = random_bool_formula(rng, n, 3)
-                if candidate not in nabla:
-                    nabla.append(candidate)
-            result = estar(delta, nabla, omega)
-
-            # independent route: brute-force stability of each instance
-            from stablecons import Not
-
-            core = []
-            for f in delta + [Not(omega)]:
-                if f not in core:
-                    core.append(f)
-            scan = None
-            for e in range(len(nabla)):
-                instance = StableInstance(
-                    n, (FormulaGroup(tuple(core), 0), FormulaGroup(tuple(nabla), e))
-                )
-                if stable_bruteforce(instance).stable:
-                    scan = e
-                else:
-                    break
-            assert result.e_star == scan
+    @settings(max_examples=150)
+    @given(
+        st.lists(bool_formulas(max_index=3, max_leaves=4), max_size=2),
+        st.lists(bool_formulas(max_index=3, max_leaves=4), min_size=1, max_size=5),
+        bool_formulas(max_index=3, max_leaves=4),
+    )
+    def test_matches_the_linear_scan_on_drawn_inputs(self, delta, nabla, omega):
+        assert estar(delta, nabla, omega) == linear_estar(delta, nabla, omega)

@@ -360,11 +360,12 @@ class TestLatticeDtype:
             ("X2 (+) X4", "(X1 (*) X4) \\/ (X2 (*) X3) \\/ ~X3"),
         ],
     )
-    def test_a_narrow_scan_finds_the_int64_witness(self, theta, phi):
+    @pytest.mark.parametrize("least", [False, True])
+    def test_a_narrow_scan_finds_the_int64_witness(self, theta, phi, least):
         # the same points on an int8 lattice (L = 6) and on an int64 one
         # (L = 6 * 2**40): homogeneity scales every value by 2**40, so the
-        # first hit must be the same point.  Chunks of at most 16 points
-        # leave two leading variables fixed to scalars.
+        # hit must be the same point, its value scaled.  Chunks of at most 16
+        # points leave two leading variables fixed to scalars.
         theta, phi = parse_luk(theta), parse_luk(phi)
         scale = 2**40
         axis = [0, 1, 2, 3, 4, 5, 6]
@@ -374,10 +375,60 @@ class TestLatticeDtype:
         with mock.patch.multiple(
             stablecons.semantics, _FIRST_CHUNK=2, _SCAN_CHUNK=16, _WHOLE_SCAN=2
         ):
-            narrow = scan(theta, phi, [1, 2, 3, 4], axis, 6)
-            wide = scan(theta, phi, [1, 2, 3, 4], [a * scale for a in axis], 6 * scale)
+            narrow = scan(theta, phi, [1, 2, 3, 4], axis, 6, least)
+            wide = scan(
+                theta, phi, [1, 2, 3, 4], [a * scale for a in axis], 6 * scale, least
+            )
         assert narrow is not None
-        assert wide == tuple(value * scale for value in narrow)
+        row, value = narrow
+        assert wide == (tuple(a * scale for a in row), value * scale)
+
+
+def scalar_least_scan(theta, phi, var_order, axis, L):
+    """Test-local reference for the least-value scan: every point in scan
+    order, one ``eval_luk`` at a time; the first point holding the least phi
+    below 1 where theta (if given) is 1, with phi's numerator over L."""
+    best = None
+    for row in itertools.product(axis, repeat=len(var_order)):
+        point = {index: Fraction(a, L) for index, a in zip(var_order, row)}
+        if theta is not None and eval_luk(theta, point) != 1:
+            continue
+        value = eval_luk(phi, point) * L  # the point's denominators divide L
+        if value < L and (best is None or value < best[1]):
+            best = (row, int(value))
+    return best
+
+
+# the default schedule and two small ones that split these scans into
+# batches of a few rows, so the least value may lie past the first batch
+SCHEDULES = [(64, 1 << 16, 1 << 12), (2, 16, 2), (4, 128, 4)]
+
+
+class TestLeastScan:
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_matches_the_scalar_sweep_on_random_pairs(self, schedule):
+        rng = random.Random(2323)
+        values = set()
+        for trial in range(120):
+            m = rng.randint(1, 3)
+            phi = random_luk_formula(rng, m, 4)
+            theta = random_luk_formula(rng, m, 4) if trial % 3 else None
+            var_order = sorted(variables(phi) | (variables(theta) if theta else set()))
+            q = rng.randint(1, 4)
+            L = math.lcm(*range(1, q + 1))
+            fractions = denominator_bounded_fractions(q)
+            axis = [f.numerator * (L // f.denominator) for f in fractions]
+            with mock.patch.multiple(
+                stablecons.semantics,
+                _FIRST_CHUNK=schedule[0],
+                _SCAN_CHUNK=schedule[1],
+                _WHOLE_SCAN=schedule[2],
+            ):
+                hit = stablecons.semantics._scan(theta, phi, var_order, axis, L, True)
+            expected = scalar_least_scan(theta, phi, var_order, axis, L)
+            assert hit == expected
+            values.add(None if hit is None else hit[1] > 0)
+        assert values == {None, False, True}
 
 
 # ---------------------------------------------------------------------------
